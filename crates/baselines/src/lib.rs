@@ -4,7 +4,7 @@
 //! The paper measures TensorFlow Inception v3 inference on a dual-socket
 //! Xeon E5-2697 v3 (RAPL power) and an Nvidia Titan Xp (nvidia-smi power).
 //! We have neither machine nor TensorFlow; these baselines are analytic
-//! stand-ins **calibrated to the paper's published totals** (DESIGN.md §4):
+//! stand-ins **calibrated to the paper's published totals**:
 //!
 //! - end-to-end latency: 86 ms CPU (stated in Section V) and 36.3 ms GPU
 //!   (derived from the 18.3x / 7.7x Neural Cache speedups over the same

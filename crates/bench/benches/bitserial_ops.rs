@@ -4,7 +4,7 @@
 //! argument: one array operation serves 256 lanes at once.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use nc_sram::{ComputeArray, Operand, TransposeUnit, COLS};
+use nc_sram::{ComputeArray, MicroOps, Operand, TransposeUnit, COLS};
 
 fn prepared_array() -> ComputeArray {
     let mut arr = ComputeArray::with_zero_row(255).expect("zero row");

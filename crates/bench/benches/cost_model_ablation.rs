@@ -1,5 +1,6 @@
-//! Ablation of the DESIGN.md §6 design choice: paper-published cycle
-//! constants vs constants derived from the `nc-sram` micro-op sequences.
+//! Ablation of the cost-model choice: paper-published cycle constants vs
+//! constants recorded from the `nc-sram` micro-op sequences (README,
+//! "Static plan verification").
 //! The benchmark reports evaluation throughput for both models, and the
 //! setup prints the latency each model predicts so the ablation numbers
 //! land in the bench log.

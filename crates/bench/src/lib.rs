@@ -42,7 +42,7 @@ use std::sync::{Once, OnceLock};
 use nc_baselines::{cpu_xeon_e5, gpu_titan_xp, PlatformConfig};
 use nc_dnn::inception::inception_v3;
 use nc_sram::area::AreaModel;
-use nc_sram::{ComputeArray, Operand, SramArray};
+use nc_sram::{ComputeArray, MicroOps, Operand, SramArray};
 use neural_cache::{
     energy_of, throughput_sweep, time_inference, ExecutionEngine, NeuralCache, Phase, SystemConfig,
 };

@@ -7,11 +7,21 @@
 //!   steps derived from the `Conv2D_2b` worked example, `1.5n^2 + 5.5n`
 //!   division). Figure/table regeneration uses this model.
 //! - [`DerivedCostModel`] uses the micro-op sequence lengths of the
-//!   `nc-sram` implementation; a test executes the real bit-serial ops and
-//!   asserts the constants stay in sync. The difference between the two is
-//!   quantified by the `cost_model_ablation` bench (DESIGN.md §6).
+//!   `nc-sram` implementation: every constant is recorded once
+//!   ([`DerivedCosts`]) by running the executor's own op sequences from
+//!   [`crate::layout`] on an `nc_sram::Schedule`. The difference between
+//!   the two models is quantified by the `cost_model_ablation` bench.
 
 use std::fmt;
+use std::sync::LazyLock;
+
+use nc_sram::{CycleStats, MicroOps, Schedule};
+
+use crate::layout::{
+    AssembleLayout, MacReduceLayout, PoolAvgLayout, PoolMaxLayout, RangingLayout, RequantLayout,
+    DUMP_ROW, ZERO_ROW,
+};
+use crate::sparsity::SparsityMode;
 
 /// Bit width of activation/weight codes (the paper fixes 8-bit precision).
 pub const DATA_BITS: usize = 8;
@@ -58,7 +68,7 @@ pub trait CostModel: fmt::Debug + Send + Sync {
 
     /// Cycles of one tag-latch wired-NOR zero-detect probing a dynamic
     /// (input) multiplier bit-slice — the `nc-sram`
-    /// `ComputeArray::op_detect_zero` micro-op. Charged once per scheduled
+    /// `MicroOps::op_detect_zero` micro-op. Charged once per scheduled
     /// round under the dynamic skip modes.
     fn detect_cycle(&self) -> u64 {
         1
@@ -207,84 +217,181 @@ impl CostModel for PaperCostModel {
     }
 }
 
-/// Costs derived from the `nc-sram` micro-op sequences (kept in sync by the
-/// `derived_cost_model_matches_functional_ops` test).
+/// Costs derived from the `nc-sram` micro-op sequences: every constant is
+/// the recorded length of the op sequence the functional executor runs
+/// ([`DerivedCosts`]).
 ///
 /// The derived 8-bit MAC is cheaper than the paper's 236 cycles (the
-/// Figure 4-7 micro-ops compose to ~136 including the zero-point-correction
+/// Figure 4-7 micro-ops compose to 136 including the zero-point-correction
 /// running sum); the derived reduction is costlier per step because the S2
-/// correction reduces alongside S1. See DESIGN.md §6.
+/// correction reduces alongside S1.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DerivedCostModel;
 
-impl DerivedCostModel {
-    /// Derived multiplication cost: `prod_bits + m*(n+2)` (see
-    /// `ComputeArray::mul`), i.e. `n^2 + 4n` for equal widths.
+/// Every constant of [`DerivedCostModel`] and the timing model's per-bit
+/// trim costs, recorded once on the [`crate::layout`] operands by running
+/// the executor's op sequences on an `nc_sram::Schedule`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DerivedCosts {
+    /// One dense per-tap MAC ([`MacReduceLayout::mac_tap`]).
+    pub mac: u64,
+    /// One multiplier-bit round: the dense tap minus a tap with one
+    /// weight-bit round elided.
+    pub mul_round: u64,
+    /// One step of the `S1` and `S2` reduction trees.
+    pub reduction_step: u64,
+    /// Widening `S1` and `S2` into the 4-byte reduction segments.
+    pub reduction_setup: u64,
+    /// Access cycles of one cross-array fold of both segment sums.
+    pub cross_array_step: u64,
+    /// ACC assembly (`zp_w` = 255, `ReLU` fused) plus requantization with the
+    /// widest multiplier the 48-bit product admits.
+    pub requant: u64,
+    /// One 8-bit max-pool step (`max_assign`).
+    pub max: u64,
+    /// One 8-bit add into the 16-bit average-pool window sum.
+    pub avg_add: u64,
+    /// Average-pool division of the 16-bit sum by a 4-bit divisor.
+    pub avg_div: u64,
+    /// One step of both ranging trees (max and min) over the 40-bit values.
+    pub minmax_step: u64,
+    /// Multiply cycles per multiplicand bit.
+    pub mul_per_mult_bit: u64,
+    /// Reduction-step cycles per bit of segment width.
+    pub reduce_per_bit: u64,
+    /// Lane-accumulate cycles per bit of partial-sum width.
+    pub partial_per_bit: u64,
+}
+
+static DERIVED_COSTS: LazyLock<DerivedCosts> = LazyLock::new(DerivedCosts::record);
+
+/// Runs `ops` on a fresh recorder and returns the counters it recorded.
+fn recorded(ops: impl FnOnce(&mut Schedule) -> nc_sram::Result<CycleStats>) -> CycleStats {
+    ops(&mut Schedule::with_zero_row(ZERO_ROW))
+        .expect("the executor layouts admit every recorded op")
+}
+
+impl DerivedCosts {
+    /// The recorded costs (recorded on first use).
     #[must_use]
-    pub fn mul_cycles(n: u64, m: u64, prod_bits: u64) -> u64 {
-        prod_bits + m * (n + 2)
+    pub fn get() -> &'static DerivedCosts {
+        &DERIVED_COSTS
+    }
+
+    fn record() -> DerivedCosts {
+        const WIDEST_WEIGHT_ZERO_POINT: u64 = 255;
+        const WIDEST_REQUANT_MULTIPLIER: u32 = 0xFFFF;
+        const POOL_DIVISOR: u64 = 9; // 3x3 window: the paper's 4-bit divisors
+        let mac = MacReduceLayout::new();
+        let tap =
+            |l: MacReduceLayout| recorded(|s| l.mac_tap(s, SparsityMode::Dense)).compute_cycles;
+        let one_round_elided = recorded(|s| {
+            let (_, multiplier) = mac.mul_roles(SparsityMode::SkipZeroRows);
+            s.assume_zero(multiplier.row(0));
+            mac.mac_tap(s, SparsityMode::SkipZeroRows)
+        });
+        let tree =
+            |l: MacReduceLayout, span| recorded(|s| l.widen_and_reduce(s, span, 1)).compute_cycles;
+        let step = |l| tree(l, 2) - tree(l, 1);
+        let (multiplicand, multiplier) = mac.mul_roles(SparsityMode::Dense);
+        let mul_at = |bits: usize| {
+            recorded(|s| {
+                let prod = mac.scratch16.slice(0, bits + multiplier.bits())?;
+                s.mul(multiplicand.slice(0, bits)?, multiplier, prod)
+            })
+            .compute_cycles
+        };
+        let narrow = |op: nc_sram::Operand| op.slice(0, op.bits() - 1).expect("multi-bit region");
+        let narrow_segments = MacReduceLayout {
+            seg_a: narrow(mac.seg_a),
+            seg_b: narrow(mac.seg_b),
+            s2_a: narrow(mac.s2_a),
+            s2_b: narrow(mac.s2_b),
+            ..mac
+        };
+        let fold = recorded(|s| mac.fold_partner(&mut Schedule::with_zero_row(ZERO_ROW), s));
+        let requant = recorded(|s| {
+            let assembled = AssembleLayout::new().assemble(s, WIDEST_WEIGHT_ZERO_POINT, true)?;
+            let (requantized, _) =
+                RequantLayout::new().requantize(s, 0, WIDEST_REQUANT_MULTIPLIER, 0)?;
+            Ok(assembled + requantized)
+        });
+        let pool_max = PoolMaxLayout::new();
+        let pool_avg = PoolAvgLayout::new();
+        let ranging = RangingLayout::new();
+        DerivedCosts {
+            mac: tap(mac),
+            mul_round: tap(mac) - one_round_elided.compute_cycles,
+            reduction_step: step(mac),
+            reduction_setup: tree(mac, 1),
+            cross_array_step: fold.access_cycles,
+            requant: requant.compute_cycles,
+            max: recorded(|s| s.max_assign(pool_max.acc, pool_max.x, pool_max.scratch, DUMP_ROW))
+                .compute_cycles,
+            avg_add: recorded(|s| s.add_assign(pool_avg.sum, pool_avg.x)).compute_cycles,
+            avg_div: recorded(|s| {
+                s.div_scalar(
+                    pool_avg.sum,
+                    POOL_DIVISOR,
+                    pool_avg.quot,
+                    pool_avg.rem,
+                    pool_avg.trial,
+                )
+            })
+            .compute_cycles,
+            minmax_step: recorded(|s| Ok(ranging.tree(s, true, 2)? + ranging.tree(s, false, 2)?))
+                .compute_cycles,
+            mul_per_mult_bit: mul_at(multiplicand.bits()) - mul_at(multiplicand.bits() - 1),
+            reduce_per_bit: step(mac) - step(narrow_segments),
+            partial_per_bit: tap(mac)
+                - tap(MacReduceLayout {
+                    partial: narrow(mac.partial),
+                    ..mac
+                }),
+        }
     }
 }
 
 impl CostModel for DerivedCostModel {
     fn mac_cycles(&self) -> u64 {
-        // mul(8x8 -> 16): 96, accumulate into 24-bit partial: 24,
-        // S2 correction add into 16-bit: 16.
-        96 + 24 + 16
+        DerivedCosts::get().mac
     }
 
     fn mul_round_cycles(&self) -> u64 {
-        // One `ComputeArray::mul` round: op_load_tag (1) + n op_full_add
-        // (8) + op_write_carry (1); kept in sync with nc-sram by the
-        // `derived_mul_round_matches_skip_accounting` test.
-        DATA_BITS as u64 + 2
+        DerivedCosts::get().mul_round
     }
 
     fn reduction_step_cycles(&self) -> u64 {
-        // S1 tree step: move (2*32) + add (32) = 96, and the S2 tree runs
-        // the same step.
-        192
+        DerivedCosts::get().reduction_step
     }
 
     fn reduction_setup_cycles(&self) -> u64 {
-        // Zero-extend S1 (24 -> 32) and S2 (16 -> 32) into segments.
-        64
+        DerivedCosts::get().reduction_setup
     }
 
     fn cross_array_step_cycles(&self) -> u64 {
-        // Inter-array transfer of both 32-bit segments through shared sense
-        // amps (one access cycle per row each way).
-        128
+        DerivedCosts::get().cross_array_step
     }
 
     fn requant_cycles(&self) -> u64 {
-        // ACC assembly: mul_scalar(S2 * zp_w into 40b) ~ 40 + 8*40 = 360,
-        // sub 40-bit (80), add C0 region (40);
-        // requant: add_scalar (40) + relu (41) + mul_scalar 16-bit into
-        // 56-bit (56 + 16*56 = 952) + clamp (2*16+2 = 34) + copy out (8).
-        360 + 80 + 40 + 40 + 41 + 952 + 34 + 8
+        DerivedCosts::get().requant
     }
 
     fn max_cycles(&self) -> u64 {
-        3 * 8 + 2 // max_assign at n = 8
+        DerivedCosts::get().max
     }
 
     fn avg_add_cycles(&self) -> u64 {
-        16 // add_assign into the 16-bit window sum
+        DerivedCosts::get().avg_add
     }
 
     fn avg_div_cycles(&self) -> u64 {
-        // div_scalar on a 16-bit sum by a 4-bit divisor (paper: Inception's
-        // divisors fit 4 bits), remainder width w = 5:
-        // zero(w) + 16 * (shift w + trial w + writeC + loadT + copy w).
-        5 + 16 * (3 * 5 + 2)
+        DerivedCosts::get().avg_div
     }
 
     fn minmax_tree_cycles(&self, lanes: usize) -> u64 {
         let steps = u64::from(lanes.next_power_of_two().trailing_zeros());
-        // Duplicate outputs (2*32 move), then per step: move (64) + 32-bit
-        // max (3*32+2 = 98) for each of the min and max trees.
-        64 + steps * 2 * (64 + 98)
+        steps * DerivedCosts::get().minmax_step
     }
 
     fn name(&self) -> &'static str {

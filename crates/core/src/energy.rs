@@ -1,7 +1,7 @@
 //! System energy and power model (Table III).
 //!
-//! Energy is accounted chip-side, matching the paper's RAPL-package scope
-//! (DESIGN.md §4): dynamic array energy (15.4 pJ per active-array compute
+//! Energy is accounted chip-side, matching the paper's RAPL-package scope:
+//! dynamic array energy (15.4 pJ per active-array compute
 //! cycle, 8.6 pJ per access cycle at 22 nm), interconnect wire energy, and
 //! a calibrated background power covering uncore, clocking and leakage of
 //! the idle structures. DRAM device energy is excluded, as in the paper's

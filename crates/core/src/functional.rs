@@ -2,7 +2,7 @@
 //! simulated [`ComputeArray`]s using the bit-serial operations of
 //! Sections III and IV-D, and must match the [`nc_dnn::reference`] golden
 //! executor **bit for bit** (the paper's trace-matching validation,
-//! Section V; DESIGN.md §4/S19).
+//! Section V).
 //!
 //! ## Staging
 //!
@@ -48,8 +48,7 @@ use nc_dnn::{
     pad_before, ActQuant, Branch, BranchOp, Conv2d, Layer, MixedBlock, Model, PoolKind, QTensor,
     Requantizer, Shape,
 };
-use nc_sram::ops::copy_lanes_between;
-use nc_sram::{ArrayPool, ArrayTimings, ComputeArray, CycleStats, SramError, COLS};
+use nc_sram::{ArrayPool, ArrayTimings, ComputeArray, CycleStats, MicroOps, SramError, COLS};
 use nc_telemetry::{Level, Telemetry, TrackId, Value};
 
 use crate::engine::{ExecutionEngine, ShardObserver};
@@ -885,25 +884,16 @@ fn mac_reduce_run(
     mode: SparsityMode,
 ) -> Result<(Vec<u64>, Vec<u64>)> {
     // Row layout of the pass-1 array (all regions disjoint, 202 rows) —
-    // shared with the static checker via `crate::layout`.
-    let layout::MacReduceLayout {
-        filter_byte,
-        input_byte,
-        scratch16,
-        partial,
-        s2sum,
-        seg_a,
-        seg_b,
-        s2_a,
-        s2_b,
-    } = layout::MacReduceLayout::new();
+    // shared with the static checker via `crate::layout`, which also holds
+    // the op sequences below.
+    let mac = layout::MacReduceLayout::new();
 
     let groups = filters.len();
     let mut partial_arrays = Vec::with_capacity(arrays_per_filter);
 
     for array_idx in 0..arrays_per_filter {
         let mut arr = pool.acquire();
-        *cycles += arr.zero(partial)? + arr.zero(s2sum)?;
+        *cycles += arr.zero(mac.partial)? + arr.zero(mac.s2sum)?;
 
         // Lane slice handled by this array.
         let lane_base = array_idx * COLS;
@@ -915,62 +905,34 @@ fn mac_reduce_run(
                 for l in 0..group_span {
                     let lane = g * group_span + l;
                     let byte = chunks.get(lane_base + l).map_or(0, |c| c[t]);
-                    arr.poke_lane(lane, filter_byte, u64::from(byte));
+                    arr.poke_lane(lane, mac.filter_byte, u64::from(byte));
                 }
             }
             for l in 0..group_span {
                 let byte = input_lanes.get(lane_base + l).map_or(0, |c| c[t]);
                 for g in 0..groups {
-                    arr.poke_lane(g * group_span + l, input_byte, u64::from(byte));
+                    arr.poke_lane(g * group_span + l, mac.input_byte, u64::from(byte));
                 }
             }
-            // S1 += w * x ; S2 += x — all lanes in parallel. Under
-            // SkipZeroRows the stationary filter byte is the multiplier,
-            // so its bit-slice rows are what the FSM elides for free; the
-            // dynamic modes flip the roles — the streamed input byte
-            // becomes the multiplier so the per-round wired-NOR detect can
-            // elide all-lanes-zero input-bit rounds (8x8 multiply cost is
-            // symmetric in the operand order, and the product is
-            // identical either way).
-            *cycles += match mode {
-                SparsityMode::Dense => arr.mul(input_byte, filter_byte, scratch16)?,
-                SparsityMode::SkipZeroRows => {
-                    arr.mul_skip_zero_rows(input_byte, filter_byte, scratch16)?
-                }
-                SparsityMode::SkipZeroInputs => {
-                    arr.mul_skip_zero_input_bits(filter_byte, input_byte, scratch16)?
-                }
-                SparsityMode::SkipBoth => arr.mul_skip_both(filter_byte, input_byte, scratch16)?,
-            };
-            *cycles += arr.add_assign(partial, scratch16)?;
-            *cycles += arr.add_assign(s2sum, input_byte)?;
+            // S1 += w * x ; S2 += x — all lanes in parallel, with the
+            // mode's multiplier/multiplicand roles.
+            *cycles += mac.mac_tap(&mut *arr, mode)?;
         }
-
-        // Widen into the 4-byte reduction segments (Figure 10b).
-        *cycles += arr.copy_zext(partial, seg_a)?;
-        *cycles += arr.copy_zext(s2sum, s2_a)?;
-        // Grouped in-array channel reduction.
-        *cycles += arr.reduce_sum_grouped(seg_a, seg_b, group_span, groups)?;
-        *cycles += arr.reduce_sum_grouped(s2_a, s2_b, group_span, groups)?;
+        *cycles += mac.widen_and_reduce(&mut *arr, group_span, groups)?;
         partial_arrays.push(arr);
     }
 
-    // Cross-array fold (filters spanning two arrays share sense amps,
-    // Section III-D): transfer partner sums into array 0 and add.
     let (first, rest) = partial_arrays.split_at_mut(1);
     let arr0: &mut ComputeArray = &mut first[0];
     for partner in rest.iter_mut() {
-        *cycles += copy_lanes_between(partner, seg_a, arr0, seg_b, 0, 1)?;
-        *cycles += arr0.add_assign(seg_a, seg_b)?;
-        *cycles += copy_lanes_between(partner, s2_a, arr0, s2_b, 0, 1)?;
-        *cycles += arr0.add_assign(s2_a, s2_b)?;
+        *cycles += mac.fold_partner(&mut **partner, arr0)?;
     }
 
     let mut s1s = Vec::with_capacity(groups);
     let mut s2s = Vec::with_capacity(groups);
     for g in 0..groups {
-        s1s.push(arr0.peek_lane(g * group_span, seg_a));
-        s2s.push(arr0.peek_lane(g * group_span, s2_a));
+        s1s.push(arr0.peek_lane(g * group_span, mac.seg_a));
+        s2s.push(arr0.peek_lane(g * group_span, mac.s2_a));
     }
     Ok((s1s, s2s))
 }
@@ -987,35 +949,20 @@ fn assemble_acc(
     relu: bool,
 ) -> Result<i64> {
     const W: usize = 40;
-    let layout::AssembleLayout {
-        s1_op,
-        s2_op,
-        t,
-        u,
-        scratch,
-        c0_op,
-    } = layout::AssembleLayout::new();
+    let l = layout::AssembleLayout::new();
     let mut arr = pool.acquire();
 
-    arr.poke_lane(0, s1_op, s1);
-    arr.poke_lane(0, s2_op, s2);
-    arr.poke_lane_signed(0, c0_op, clamp_to_bits(c0, W));
-
-    *cycles += arr.copy_zext(s1_op, t)?;
-    *cycles += arr.mul_scalar(s2_op, zp_w, u)?;
-    *cycles += arr.sub(t, u, t, scratch)?;
-    *cycles += arr.add_assign(t, c0_op)?;
-    if relu {
-        *cycles += arr.relu(t)?;
-    }
-    Ok(arr.peek_lane_signed(0, t))
+    arr.poke_lane(0, l.s1_op, s1);
+    arr.poke_lane(0, l.s2_op, s2);
+    arr.poke_lane_signed(0, l.c0_op, clamp_to_bits(c0, W));
+    *cycles += l.assemble(&mut *arr, zp_w, relu)?;
+    Ok(arr.peek_lane_signed(0, l.t))
 }
 
 /// One 256-lane min/max ranging run over a chunk of accumulators.
 fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<(i64, i64, CycleStats)> {
     const OFFSET: i64 = 1 << 38; // |ACC| < 2^38 stays positive
-    let layout::RangingLayout { v, scratch, cmp } = layout::RangingLayout::new();
-    const DUMP: usize = DUMP_ROW;
+    let l = layout::RangingLayout::new();
 
     let mut cycles = CycleStats::new();
     let mut min = i64::MAX;
@@ -1026,14 +973,14 @@ fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<(i64, i64, CycleStat
             // Idle lanes replicate the first value (neutral for both
             // reductions).
             let val = chunk.get(lane).copied().unwrap_or(chunk[0]);
-            arr.poke_lane(lane, v, (val + OFFSET) as u64);
+            arr.poke_lane(lane, l.v, (val + OFFSET) as u64);
         }
+        cycles += l.tree(&mut *arr, want_max, COLS)?;
+        let extreme = arr.peek_lane(0, l.v) as i64 - OFFSET;
         if want_max {
-            cycles += arr.reduce_max(v, scratch, cmp, DUMP, COLS)?;
-            max = max.max(arr.peek_lane(0, v) as i64 - OFFSET);
+            max = max.max(extreme);
         } else {
-            cycles += arr.reduce_min(v, scratch, cmp, DUMP, COLS)?;
-            min = min.min(arr.peek_lane(0, v) as i64 - OFFSET);
+            min = min.min(extreme);
         }
     }
     Ok((min, max, cycles))
@@ -1045,23 +992,17 @@ fn requant_chunk(
     chunk: &[i64],
     requant: Requantizer,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::RequantLayout { d_op, prod } = layout::RequantLayout::new();
-    let d32 = d_op.slice(0, 32)?;
-    const DUMP: usize = DUMP_ROW;
-
-    let mut cycles = CycleStats::new();
+    let l = layout::RequantLayout::new();
     let mut arr = pool.acquire();
     for (lane, &v) in chunk.iter().enumerate() {
-        arr.poke_lane_signed(lane, d_op, clamp_to_bits(v, 40));
+        arr.poke_lane_signed(lane, l.d_op, clamp_to_bits(v, 40));
     }
-    // D = max(ACC - acc_min, 0).
-    cycles += arr.add_scalar_signed(d_op, -requant.acc_min)?;
-    cycles += arr.relu(d_op)?;
-    // P = D * M; q = min(P >> SH, 255).
-    cycles += arr.mul_scalar(d32, u64::from(requant.multiplier), prod)?;
-    let shifted = prod.slice(requant.shift as usize, 16)?;
-    cycles += arr.clamp_max_scalar(shifted, 255, DUMP)?;
-    let q_op = shifted.slice(0, 8)?;
+    let (cycles, q_op) = l.requantize(
+        &mut *arr,
+        requant.acc_min,
+        requant.multiplier,
+        requant.shift,
+    )?;
     let mut out = vec![0u8; chunk.len()];
     for (lane, byte) in out.iter_mut().enumerate() {
         *byte = arr.peek_lane(lane, q_op) as u8;

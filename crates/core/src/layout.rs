@@ -12,8 +12,18 @@
 //!   row is touched (debug-mode pre-pass in the executor), and
 //! - the `nc-verify` static checker consumes the same descriptors to emit
 //!   structured diagnostics without executing anything.
+//!
+//! The op sequences of the passes whose costs the timing model charges
+//! (the per-tap MAC, the widen-and-reduce tail, the cross-array fold, ACC
+//! assembly, requantization and the ranging trees) are written here once,
+//! generic over the [`MicroOps`] sink: the executor runs them on a
+//! `ComputeArray`, and the verifier and the `DerivedCostModel` record them
+//! on a `Schedule`.
 
-use nc_sram::{Operand, ROWS};
+use nc_sram::ops::copy_lanes_between;
+use nc_sram::{CycleStats, MicroOps, Operand, Result, ROWS};
+
+use crate::sparsity::SparsityMode;
 
 /// The dedicated all-zero row every executor array reserves (mapping-layer
 /// convention; see `ComputeArray::set_zero_row`).
@@ -84,6 +94,87 @@ impl MacReduceLayout {
             ("s2_b", self.s2_b),
         ]
     }
+
+    /// The per-tap multiply's `(multiplicand, multiplier)` under `mode`.
+    ///
+    /// Under [`SparsityMode::SkipZeroRows`] the stationary filter byte is
+    /// the multiplier, so its bit-slice rows are what the FSM elides for
+    /// free; the dynamic modes flip the roles — the streamed input byte
+    /// becomes the multiplier so the per-round wired-NOR detect can elide
+    /// all-lanes-zero input-bit rounds (8x8 multiply cost is symmetric in
+    /// the operand order, and the product is identical either way).
+    #[must_use]
+    pub fn mul_roles(&self, mode: SparsityMode) -> (Operand, Operand) {
+        match mode {
+            SparsityMode::Dense | SparsityMode::SkipZeroRows => (self.input_byte, self.filter_byte),
+            SparsityMode::SkipZeroInputs | SparsityMode::SkipBoth => {
+                (self.filter_byte, self.input_byte)
+            }
+        }
+    }
+
+    /// One MAC tap on every lane under `mode`: `S1 += w * x` (multiply
+    /// into [`Self::scratch16`], accumulate into [`Self::partial`]) and
+    /// `S2 += x`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub fn mac_tap<S: MicroOps + ?Sized>(
+        &self,
+        s: &mut S,
+        mode: SparsityMode,
+    ) -> Result<CycleStats> {
+        let (a, b) = self.mul_roles(mode);
+        let product = match mode {
+            SparsityMode::Dense => s.mul(a, b, self.scratch16)?,
+            SparsityMode::SkipZeroRows => s.mul_skip_zero_rows(a, b, self.scratch16)?,
+            SparsityMode::SkipZeroInputs => s.mul_skip_zero_input_bits(a, b, self.scratch16)?,
+            SparsityMode::SkipBoth => s.mul_skip_both(a, b, self.scratch16)?,
+        };
+        Ok(product
+            + s.add_assign(self.partial, self.scratch16)?
+            + s.add_assign(self.s2sum, self.input_byte)?)
+    }
+
+    /// The tail of pass 1 on one array: widen `S1` and `S2` into the 4-byte
+    /// reduction segments (Figure 10b), then reduce the channels of each of
+    /// `groups` packed filters with grouped trees over `group_span` lanes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub fn widen_and_reduce<S: MicroOps + ?Sized>(
+        &self,
+        s: &mut S,
+        group_span: usize,
+        groups: usize,
+    ) -> Result<CycleStats> {
+        Ok(s.copy_zext(self.partial, self.seg_a)?
+            + s.copy_zext(self.s2sum, self.s2_a)?
+            + s.reduce_sum_grouped(self.seg_a, self.seg_b, group_span, groups)?
+            + s.reduce_sum_grouped(self.s2_a, self.s2_b, group_span, groups)?)
+    }
+
+    /// Cross-array fold of a filter spanning several arrays (they share
+    /// sense amps, Section III-D): transfer `partner`'s lane-0 segment sums
+    /// into `home` and add them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sinks' errors.
+    pub(crate) fn fold_partner<P: MicroOps + ?Sized, H: MicroOps + ?Sized>(
+        &self,
+        partner: &mut P,
+        home: &mut H,
+    ) -> Result<CycleStats> {
+        Ok(
+            copy_lanes_between(partner, self.seg_a, home, self.seg_b, 0, 1)?
+                + home.add_assign(self.seg_a, self.seg_b)?
+                + copy_lanes_between(partner, self.s2_a, home, self.s2_b, 0, 1)?
+                + home.add_assign(self.s2_a, self.s2_b)?,
+        )
+    }
 }
 
 impl Default for MacReduceLayout {
@@ -135,6 +226,28 @@ impl AssembleLayout {
             ("c0_op", self.c0_op),
         ]
     }
+
+    /// Pass 2: `ACC = S1 - zp_w*S2 + C0` in the 40-bit two's-complement
+    /// region [`Self::t`], then the MSB-masked `ReLU` when fused.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub(crate) fn assemble<S: MicroOps + ?Sized>(
+        &self,
+        s: &mut S,
+        zp_w: u64,
+        relu: bool,
+    ) -> Result<CycleStats> {
+        let mut cycles = s.copy_zext(self.s1_op, self.t)?
+            + s.mul_scalar(self.s2_op, zp_w, self.u)?
+            + s.sub(self.t, self.u, self.t, self.scratch)?
+            + s.add_assign(self.t, self.c0_op)?;
+        if relu {
+            cycles += s.relu(self.t)?;
+        }
+        Ok(cycles)
+    }
 }
 
 impl Default for AssembleLayout {
@@ -170,6 +283,25 @@ impl RangingLayout {
     pub fn named(&self) -> Vec<NamedOperand> {
         vec![("v", self.v), ("scratch", self.scratch), ("cmp", self.cmp)]
     }
+
+    /// One in-array max (`want_max`) or min tree over `lanes` offset
+    /// accumulators, leaving the result in lane 0 of [`Self::v`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub(crate) fn tree<S: MicroOps + ?Sized>(
+        &self,
+        s: &mut S,
+        want_max: bool,
+        lanes: usize,
+    ) -> Result<CycleStats> {
+        if want_max {
+            s.reduce_max(self.v, self.scratch, self.cmp, DUMP_ROW, lanes)
+        } else {
+            s.reduce_min(self.v, self.scratch, self.cmp, DUMP_ROW, lanes)
+        }
+    }
 }
 
 impl Default for RangingLayout {
@@ -201,6 +333,29 @@ impl RequantLayout {
     #[must_use]
     pub fn named(&self) -> Vec<NamedOperand> {
         vec![("d_op", self.d_op), ("prod", self.prod)]
+    }
+
+    /// Pass 3: `D = max(ACC - acc_min, 0)`, `P = D * multiplier`, and
+    /// `q = min(P >> shift, 255)`. Returns the cycles and the 8-bit region
+    /// holding `q`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors (e.g. a multiplier wider than the
+    /// 48-bit product admits).
+    pub(crate) fn requantize<S: MicroOps + ?Sized>(
+        &self,
+        s: &mut S,
+        acc_min: i64,
+        multiplier: u32,
+        shift: u32,
+    ) -> Result<(CycleStats, Operand)> {
+        let shifted = self.prod.slice(shift as usize, 16)?;
+        let cycles = s.add_scalar_signed(self.d_op, -acc_min)?
+            + s.relu(self.d_op)?
+            + s.mul_scalar(self.d_op.slice(0, 32)?, u64::from(multiplier), self.prod)?
+            + s.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
+        Ok((cycles, shifted.slice(0, 8)?))
     }
 }
 

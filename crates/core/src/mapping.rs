@@ -187,7 +187,7 @@ pub struct RowBudget {
     pub partial: usize,
     /// Scratch-pad rows (2 bytes, Figure 10a).
     pub scratch: usize,
-    /// Zero-point-correction sum rows (2 bytes; DESIGN.md §4).
+    /// Zero-point-correction sum rows (2 bytes).
     pub s2: usize,
     /// Output rows (4 bytes, Figure 10a).
     pub output: usize,

@@ -9,7 +9,7 @@
 //! the control FSM knows every all-lanes-zero bit-slice row at filter-load
 //! time and can skip those rounds for free; [`SparsityMode::SkipZeroRows`]
 //! turns that on across the SRAM ops, the functional executor, and the
-//! timing simulator (see `nc_sram::ComputeArray::mul_skip_zero_rows`).
+//! timing simulator (see `nc_sram::MicroOps::mul_skip_zero_rows`).
 //!
 //! This module quantifies two optimization levels for a weight
 //! distribution:

@@ -551,28 +551,14 @@ const OUTPUT_SET_WALK_FACTOR: usize = 4;
 
 use crate::cost::CostModel as CostModelRef;
 
-/// Multiply cycles per live multiplicand bit in the derived cost model: a
-/// `k`-bit multiplicand makes the bit-serial multiply cost `9k + 24` cycles
-/// (8 multiplier rounds of `k + 2` row ops plus the `8 + k` product bits),
-/// so each trimmed bit saves 9 cycles per serial MAC.
-const MUL_CYCLES_PER_MULT_BIT: u64 = 9;
-
-/// Reduction cycles per bit of running-sum width: one tree step moves and
-/// adds two operands across the `S1` and `S2` trees (2 trees x 3 row ops
-/// per bit = 6), so each trimmed reduce bit saves 6 cycles per step.
-const REDUCE_CYCLES_PER_BIT: u64 = 6;
-
-/// Partial-accumulate cycles per bit of partial-sum width (the lane
-/// accumulate is 1 cycle per bit), so each trimmed partial bit saves one
-/// cycle per serial MAC.
-const PARTIAL_CYCLES_PER_BIT: u64 = 1;
-
 /// MAC and reduction cycles one convolution unit saves when executed under
 /// a trimmed [`BitBudget`](crate::mapping::BitBudget) instead of the
 /// default Figure 10 allocation.
 /// Counts only the phases the budget widths govern (lane accumulate,
 /// multiply, in-array reduction steps) — conservative, since cross-array
-/// steps and scratch moves shrink too.
+/// steps and scratch moves shrink too. Each trimmed bit saves the recorded
+/// per-bit cost of the multiply, the reduction step or the lane accumulate
+/// ([`crate::cost::DerivedCosts`]).
 #[must_use]
 pub fn advised_trim_savings(c: &ConvMapping, budget: &crate::mapping::BitBudget) -> u64 {
     let rounds = c.rounds as u64;
@@ -582,8 +568,9 @@ pub fn advised_trim_savings(c: &ConvMapping, budget: &crate::mapping::BitBudget)
     let mult_trim = u64::from((crate::cost::DATA_BITS as u32).saturating_sub(budget.mult_bits));
     let reduce_trim =
         u64::from((crate::cost::REDUCE_BITS as u32).saturating_sub(budget.reduce_bits));
-    serial_macs * (PARTIAL_CYCLES_PER_BIT * partial_trim + MUL_CYCLES_PER_MULT_BIT * mult_trim)
-        + rounds * u64::from(c.reduce_steps) * REDUCE_CYCLES_PER_BIT * reduce_trim
+    let per_bit = crate::cost::DerivedCosts::get();
+    serial_macs * (per_bit.partial_per_bit * partial_trim + per_bit.mul_per_mult_bit * mult_trim)
+        + rounds * u64::from(c.reduce_steps) * per_bit.reduce_per_bit * reduce_trim
 }
 
 #[cfg(test)]

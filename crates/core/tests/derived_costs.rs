@@ -1,139 +1,32 @@
-//! DESIGN.md §3 promise: the `DerivedCostModel` constants must stay in sync
-//! with the *actual* micro-op sequences of `nc-sram`. This test executes
-//! the real bit-serial operations and compares measured cycles against the
-//! model.
+//! Pins every `DerivedCostModel` constant and per-bit trim cost. Each is
+//! recorded from the executor's own op sequences on the `layout` operands,
+//! so a change here means an op sequence changed.
 
-use nc_sram::{ComputeArray, Operand, COLS};
-use neural_cache::cost::{CostModel, DerivedCostModel};
-
-fn arr() -> ComputeArray {
-    ComputeArray::with_zero_row(255).expect("zero row")
-}
+use neural_cache::cost::{CostModel, DerivedCostModel, DerivedCosts};
 
 #[test]
-fn derived_mac_cycles_match_functional_ops() {
-    // One MAC = mul(8x8 -> 16) + accumulate into the 24-bit partial +
-    // accumulate the input byte into the 16-bit S2 sum.
-    let mut a = arr();
-    let w = Operand::new(0, 8).unwrap();
-    let x = Operand::new(8, 8).unwrap();
-    let prod = Operand::new(16, 16).unwrap();
-    let partial = Operand::new(32, 24).unwrap();
-    let s2 = Operand::new(56, 16).unwrap();
-    a.poke_lane(0, w, 200);
-    a.poke_lane(0, x, 123);
-    let mut measured = 0;
-    measured += a.mul(w, x, prod).unwrap().compute_cycles;
-    measured += a.add_assign(partial, prod).unwrap().compute_cycles;
-    measured += a.add_assign(s2, x).unwrap().compute_cycles;
+fn derived_costs_are_pinned() {
+    let m = DerivedCostModel;
+    assert_eq!((m.mac_cycles(), m.mul_round_cycles()), (136, 10));
     assert_eq!(
-        measured,
-        DerivedCostModel.mac_cycles(),
-        "DerivedCostModel::mac_cycles out of sync with nc-sram"
+        (
+            m.reduction_step_cycles(),
+            m.reduction_setup_cycles(),
+            m.cross_array_step_cycles()
+        ),
+        (192, 64, 128)
     );
-    assert_eq!(a.peek_lane(0, partial), 200 * 123);
-    assert_eq!(a.peek_lane(0, s2), 123);
-}
-
-#[test]
-fn derived_mul_round_matches_skip_accounting() {
-    // The per-round cost the sparsity analysis elides must equal what the
-    // real bit-serial multiply spends per multiplier bit — and what
-    // mul_skip_zero_rows reports as saved when it elides a round.
-    let mut a = arr();
-    let x = Operand::new(0, 8).unwrap();
-    let w = Operand::new(8, 8).unwrap();
-    let prod = Operand::new(16, 16).unwrap();
-    a.poke_lane(0, x, 77);
-    a.poke_lane(0, w, 0b0000_0101); // rounds 1, 3..8 are all-zero
-    let d = a.mul_skip_zero_rows(x, w, prod).unwrap();
-    assert_eq!(a.peek_lane(0, prod), 77 * 5);
-    assert_eq!(d.skipped_rounds, 6);
     assert_eq!(
-        d.skipped_cycles,
-        6 * DerivedCostModel.mul_round_cycles(),
-        "DerivedCostModel::mul_round_cycles out of sync with nc-sram"
+        (m.max_cycles(), m.avg_add_cycles(), m.avg_div_cycles()),
+        (26, 16, 277)
     );
-    // Dense full-mul cost decomposes as prod zeroing + 8 rounds.
-    let mut b = arr();
-    b.poke_lane(0, x, 77);
-    b.poke_lane(0, w, 255);
-    let dense = b.mul(x, w, prod).unwrap();
+    // Pass 2 (533: zp_w = 255, ReLU fused) + pass 3 (811: multiplier
+    // 0xFFFF); 8 steps of both 40-bit ranging trees (404 each).
+    assert_eq!(m.requant_cycles(), 533 + 811);
+    assert_eq!(m.minmax_tree_cycles(256), 8 * 404);
+    let c = DerivedCosts::get();
     assert_eq!(
-        dense.compute_cycles,
-        16 + 8 * DerivedCostModel.mul_round_cycles()
+        (c.mul_per_mult_bit, c.reduce_per_bit, c.partial_per_bit),
+        (9, 6, 1)
     );
-    assert_eq!(dense.mul_rounds, 8);
-}
-
-#[test]
-fn derived_reduction_step_matches_functional_ops() {
-    // One reduction step = lane move (2 cycles/row) + 32-bit add, for each
-    // of the S1 and S2 trees.
-    let mut a = arr();
-    let v = Operand::new(0, 32).unwrap();
-    let s = Operand::new(32, 32).unwrap();
-    let before = a.stats();
-    a.move_lanes(v, s, 1, 1).unwrap();
-    a.add_assign(v, s).unwrap();
-    let one_tree_step = (a.stats() - before).compute_cycles;
-    assert_eq!(
-        2 * one_tree_step,
-        DerivedCostModel.reduction_step_cycles(),
-        "DerivedCostModel::reduction_step_cycles out of sync"
-    );
-}
-
-#[test]
-fn derived_reduction_setup_matches_functional_ops() {
-    let mut a = arr();
-    let p = Operand::new(0, 24).unwrap();
-    let s2 = Operand::new(24, 16).unwrap();
-    let seg = Operand::new(40, 32).unwrap();
-    let seg2 = Operand::new(72, 32).unwrap();
-    let before = a.stats();
-    a.copy_zext(p, seg).unwrap();
-    a.copy_zext(s2, seg2).unwrap();
-    assert_eq!(
-        (a.stats() - before).compute_cycles,
-        DerivedCostModel.reduction_setup_cycles(),
-    );
-}
-
-#[test]
-fn derived_max_cycles_match_functional_ops() {
-    let mut a = arr();
-    let acc = Operand::new(0, 8).unwrap();
-    let x = Operand::new(8, 8).unwrap();
-    let s = Operand::new(16, 8).unwrap();
-    let d = a.max_assign(acc, x, s, 250).unwrap();
-    assert_eq!(d.compute_cycles, DerivedCostModel.max_cycles());
-}
-
-#[test]
-fn derived_avg_pool_costs_match_functional_ops() {
-    let mut a = arr();
-    let sum = Operand::new(0, 16).unwrap();
-    let x = Operand::new(16, 8).unwrap();
-    let d = a.add_assign(sum, x).unwrap();
-    assert_eq!(d.compute_cycles, DerivedCostModel.avg_add_cycles());
-
-    let quot = Operand::new(24, 16).unwrap();
-    let rem = Operand::new(40, 7).unwrap();
-    let trial = Operand::new(47, 7).unwrap();
-    a.poke_lane(0, sum, 12345);
-    let d = a.div_scalar(sum, 9, quot, rem, trial).unwrap();
-    assert_eq!(d.compute_cycles, DerivedCostModel.avg_div_cycles());
-    assert_eq!(a.peek_lane(0, quot), 12345 / 9);
-}
-
-#[test]
-fn full_reduction_tree_cost_composes_from_steps() {
-    // A 256-lane, 32-bit tree costs exactly steps * (move + add).
-    let mut a = arr();
-    let v = Operand::new(0, 32).unwrap();
-    let s = Operand::new(32, 32).unwrap();
-    let d = a.reduce_sum(v, s, COLS).unwrap();
-    let per_step = 2 * 32 + 32;
-    assert_eq!(d.compute_cycles, 8 * per_step);
 }

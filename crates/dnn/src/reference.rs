@@ -3,7 +3,7 @@
 //! The paper verifies its cycle-accurate simulator "by running data traces
 //! on it and matching the results with traces obtained from instrumenting
 //! the TensorFlow model" (Section V). We have no TensorFlow; this executor
-//! plays that role (DESIGN.md §4): it implements the *exact* integer
+//! plays that role: it implements the *exact* integer
 //! arithmetic of [`crate::quant`], and the in-cache functional executor must
 //! reproduce its outputs bit-for-bit.
 

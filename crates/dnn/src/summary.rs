@@ -242,8 +242,8 @@ mod tests {
 
     /// The published Table I. `None` marks cells where the paper's number is
     /// inconsistent with its own convolution counts / the standard Inception
-    /// v3 graph (`Mixed_6e` conv count and filter size; `Mixed_6a` filter size —
-    /// DESIGN.md §6 and EXPERIMENTS.md).
+    /// v3 graph (`Mixed_6e` conv count and filter size; `Mixed_6a` filter
+    /// size).
     const PAPER: &[PaperRow] = &[
         ("Conv2d_1a_3x3", 299, 149, Some(710_432), Some(0.001), 0.256),
         ("Conv2d_2a_3x3", 149, 147, Some(691_488), Some(0.009), 0.678),

@@ -4,8 +4,7 @@
 //! exact sets needing data, profiled with `VTune` to separate DRAM-bound
 //! cycles (Section V). That measurement collapses to an *effective fill
 //! bandwidth*; this model exposes it as a parameter calibrated so filter
-//! loading lands at the paper's reported ~46% share of inference time
-//! (DESIGN.md §4).
+//! loading lands at the paper's reported ~46% share of inference time.
 
 use crate::SimTime;
 

@@ -153,6 +153,7 @@ impl BitRow {
 
     /// Returns `true` if every bit is clear.
     #[must_use]
+    #[inline]
     pub fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }

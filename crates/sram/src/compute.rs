@@ -1,11 +1,13 @@
 //! The compute array: SRAM storage + column peripherals + cycle accounting.
 //!
-//! This module defines the single-cycle **micro-ops** that the hardware
-//! column peripheral of Figure 7 can execute. Everything more complex
-//! (multi-bit add, multiply, reduction, ...) is composed from these micro-ops
-//! in [`crate::ops`], so the cycle count of every high-level operation is the
-//! length of its micro-op sequence — derived, not asserted.
+//! This module executes the single-cycle **micro-ops** that the hardware
+//! column peripheral of Figure 7 can run: [`ComputeArray`] is the executing
+//! [`MicroOps`] sink. Everything more complex (multi-bit add, multiply,
+//! reduction, ...) is composed from these micro-ops in [`crate::ops`], so
+//! the cycle count of every high-level operation is the length of its
+//! micro-op sequence — derived, not asserted.
 
+use crate::ops::{MicroOps, LANE_MOVE_CYCLES_PER_ROW};
 use crate::{BitRow, CycleStats, Operand, Result, SramArray, SramError, COLS};
 
 /// Write-back predication mode for a compute cycle.
@@ -32,7 +34,7 @@ pub enum Predicate {
 /// # Example
 ///
 /// ```
-/// use nc_sram::{ComputeArray, Operand};
+/// use nc_sram::{ComputeArray, MicroOps, Operand};
 ///
 /// let mut array = ComputeArray::new();
 /// let x = Operand::new(0, 8)?;
@@ -96,12 +98,6 @@ impl ComputeArray {
         self.zero_row
     }
 
-    /// Cycle counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> CycleStats {
-        self.stats
-    }
-
     /// Resets the cycle counters (the stored data is untouched).
     pub fn reset_stats(&mut self) {
         self.stats = CycleStats::new();
@@ -139,282 +135,8 @@ impl ComputeArray {
     }
 
     // ------------------------------------------------------------------
-    // Latch presets (control signals, not counted as array cycles)
-    // ------------------------------------------------------------------
-
-    /// Clears every carry latch. Latch presets are driven by the control FSM
-    /// and do not occupy an array cycle.
-    pub fn preset_carry(&mut self, value: bool) {
-        self.carry = if value {
-            BitRow::ones()
-        } else {
-            BitRow::zero()
-        };
-    }
-
-    /// Sets every tag latch to `value` (control-FSM preset, zero cycles).
-    pub fn preset_tag(&mut self, value: bool) {
-        self.tag = if value {
-            BitRow::ones()
-        } else {
-            BitRow::zero()
-        };
-    }
-
-    // ------------------------------------------------------------------
-    // Single-cycle compute micro-ops
-    // ------------------------------------------------------------------
-
-    /// Compute cycle: copies row `src` to row `dst` (optionally tag-gated).
-    ///
-    /// Compute Cache performs in-array copies in a single cycle: the source
-    /// word line is sensed and the write word line stores the result back in
-    /// the second half of the cycle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates row-range errors and refuses to clobber the zero row.
-    pub fn op_copy(&mut self, src: usize, dst: usize, pred: Predicate) -> Result<()> {
-        let value = self.array.read_row(src)?;
-        self.write_back(dst, value, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: writes the column-wise complement of `src` to `dst`.
-    ///
-    /// Realized by sensing `src` against the dedicated zero row: the bit-line
-    /// complement then carries `!src & !0 = !src`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::MissingZeroRow`] when no zero row is configured.
-    pub fn op_not(&mut self, src: usize, dst: usize, pred: Predicate) -> Result<()> {
-        let zero = self.require_zero_row()?;
-        let out = self.array.sense(src, zero)?.nor;
-        self.write_back(dst, out, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: `dst <- a AND b` (bit-line output of a two-row sense).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sensing and write-back errors.
-    pub fn op_and(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        let out = self.array.sense(a, b)?.and;
-        self.write_back(dst, out, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: `dst <- a NOR b` (bit-line-complement output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sensing and write-back errors.
-    pub fn op_nor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        let out = self.array.sense(a, b)?.nor;
-        self.write_back(dst, out, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: `dst <- a OR b` (complement of the NOR output).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sensing and write-back errors.
-    pub fn op_or(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        let out = self.array.sense(a, b)?.nor.not();
-        self.write_back(dst, out, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: `dst <- a XOR b` (peripheral NOR of the two sense-amp
-    /// outputs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sensing and write-back errors.
-    pub fn op_xor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        let out = self.array.sense(a, b)?.xor;
-        self.write_back(dst, out, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: full-adder step over rows `a` and `b` with the carry
-    /// latch as carry-in; writes `sum = a ^ b ^ c` to `dst` and latches
-    /// `carry = a&b | (a^b)&c`.
-    ///
-    /// With [`Predicate::Tag`] both the write-back **and** the carry-latch
-    /// update are gated per column (the `C_EN` signal of Figure 7), which is
-    /// what makes predicated multiplication work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sensing and write-back errors.
-    pub fn op_full_add(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        let sensed = self.array.sense(a, b)?;
-        let sum = sensed.xor.xor(&self.carry);
-        let carry_out = sensed.and.or(&sensed.xor.and(&self.carry));
-        self.write_back(dst, sum, pred)?;
-        self.carry = match pred {
-            Predicate::Always => carry_out,
-            Predicate::Tag => carry_out.select(&self.carry, &self.tag),
-        };
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: full-adder step where the second operand is a
-    /// *broadcast constant bit* `kbit` driven from the instruction bus via
-    /// the peripheral's data-in path (the same path used for external
-    /// writes). Used by scalar-broadcast arithmetic such as the
-    /// requantization constants of Section IV-D.
-    ///
-    /// # Errors
-    ///
-    /// Propagates row-range and write-back errors.
-    pub fn op_full_add_const(
-        &mut self,
-        a: usize,
-        kbit: bool,
-        dst: usize,
-        pred: Predicate,
-    ) -> Result<()> {
-        let ra = self.array.read_row(a)?;
-        let rb = if kbit { BitRow::ones() } else { BitRow::zero() };
-        let xor = ra.xor(&rb);
-        let and = ra.and(&rb);
-        let sum = xor.xor(&self.carry);
-        let carry_out = and.or(&xor.and(&self.carry));
-        self.write_back(dst, sum, pred)?;
-        self.carry = match pred {
-            Predicate::Always => carry_out,
-            Predicate::Tag => carry_out.select(&self.carry, &self.tag),
-        };
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: loads the tag latches from row `src`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates row-range errors.
-    pub fn op_load_tag(&mut self, src: usize) -> Result<()> {
-        self.tag = self.array.read_row(src)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: loads the tag latches from row `src` and reports
-    /// whether **every** tag bit is zero — the tag-latch wired-NOR the
-    /// paper's search accelerator uses to detect an all-miss in one cycle
-    /// (Compute Caches, Section III). This is the dynamic zero-detect
-    /// behind input-bit round skipping: the control FSM senses the
-    /// multiplier bit-slice into the tags and the wired-NOR tells it in the
-    /// same cycle whether the round can be elided. The cycle is counted in
-    /// both `compute_cycles` and the dedicated
-    /// [`CycleStats::detect_cycles`] counter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates row-range errors.
-    pub fn op_detect_zero(&mut self, src: usize) -> Result<bool> {
-        self.tag = self.array.read_row(src)?;
-        self.tick_compute();
-        self.stats.detect_cycles += 1;
-        Ok(self.tag.is_zero())
-    }
-
-    /// Compute cycle: loads the tag latches with the complement of row
-    /// `src` (sensed against the zero row).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::MissingZeroRow`] when no zero row is configured.
-    pub fn op_load_tag_not(&mut self, src: usize) -> Result<()> {
-        let zero = self.require_zero_row()?;
-        self.tag = self.array.sense(src, zero)?.nor;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: ANDs row `src` (or its complement) into the tag
-    /// latches — the accumulation step of bit-serial equality search.
-    ///
-    /// # Errors
-    ///
-    /// Complement form requires the zero row.
-    pub fn op_and_tag(&mut self, src: usize, complement: bool) -> Result<()> {
-        let bits = if complement {
-            let zero = self.require_zero_row()?;
-            self.array.sense(src, zero)?.nor
-        } else {
-            self.array.read_row(src)?
-        };
-        self.tag = self.tag.and(&bits);
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: writes the carry latches to row `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write-back errors.
-    pub fn op_write_carry(&mut self, dst: usize, pred: Predicate) -> Result<()> {
-        let carry = self.carry;
-        self.write_back(dst, carry, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: writes the tag latches to row `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write-back errors.
-    pub fn op_write_tag(&mut self, dst: usize, pred: Predicate) -> Result<()> {
-        let tag = self.tag;
-        self.write_back(dst, tag, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    /// Compute cycle: writes an all-zero (or all-one) row to `dst`,
-    /// optionally tag-gated. `ReLU` uses the tag-gated zero write.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write-back errors.
-    pub fn op_write_const(&mut self, dst: usize, bit: bool, pred: Predicate) -> Result<()> {
-        let value = if bit { BitRow::ones() } else { BitRow::zero() };
-        self.write_back(dst, value, pred)?;
-        self.tick_compute();
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
     // Access-cycle operations (conventional reads/writes, for streaming)
     // ------------------------------------------------------------------
-
-    /// Access cycle: conventional read of a full row (e.g. streaming data out
-    /// to the intra-slice bus).
-    ///
-    /// # Errors
-    ///
-    /// Propagates row-range errors.
-    pub fn access_read_row(&mut self, row: usize) -> Result<BitRow> {
-        let out = self.array.read_row(row)?;
-        self.tick_access();
-        Ok(out)
-    }
 
     /// Access cycle: conventional write of a full row (e.g. streaming data in
     /// from the intra-slice bus or a transpose unit).
@@ -534,59 +256,11 @@ impl ComputeArray {
     // Internals
     // ------------------------------------------------------------------
 
-    pub(crate) fn require_zero_row(&self) -> Result<usize> {
+    fn require_zero_row(&self) -> Result<usize> {
         self.zero_row.ok_or(SramError::MissingZeroRow)
     }
 
-    /// Crate-internal raw access for operations that move data across bit
-    /// lines (lane moves, inter-array transfers); cycle charging is the
-    /// caller's responsibility via [`ComputeArray::charge_compute`].
-    pub(crate) fn raw_cells_mut(&mut self) -> &mut SramArray {
-        &mut self.array
-    }
-
-    pub(crate) fn charge_compute(&mut self, cycles: u64) {
-        self.stats.compute_cycles += cycles;
-    }
-
-    /// Records one scheduled multiplier-bit round (dense or skipped).
-    pub(crate) fn note_mul_round(&mut self) {
-        self.stats.mul_rounds += 1;
-    }
-
-    /// Records one elided multiplier-bit round and the compute cycles the
-    /// dense schedule would have spent on it.
-    pub(crate) fn note_skipped_round(&mut self, saved_cycles: u64) {
-        self.stats.skipped_rounds += 1;
-        self.stats.skipped_cycles += saved_cycles;
-    }
-
-    /// Records one dynamically elided input-bit round and the compute
-    /// cycles the dense schedule would have spent on it.
-    pub(crate) fn note_input_round_skipped(&mut self, saved_cycles: u64) {
-        self.stats.input_rounds_skipped += 1;
-        self.stats.skipped_cycles += saved_cycles;
-    }
-
-    /// Records add-chain cycles elided by static multiplicand truncation
-    /// (no round is skipped; the dense schedule would have executed them).
-    pub(crate) fn note_truncated_cycles(&mut self, saved_cycles: u64) {
-        self.stats.skipped_cycles += saved_cycles;
-    }
-
-    pub(crate) fn charge_access(&mut self, cycles: u64) {
-        self.stats.access_cycles += cycles;
-    }
-
-    pub(crate) fn guard_zero_row(&self, op: &Operand) -> Result<()> {
-        if let Some(z) = self.zero_row {
-            if op.contains_row(z) {
-                return Err(SramError::ZeroRowClobbered { row: z });
-            }
-        }
-        Ok(())
-    }
-
+    #[inline]
     fn write_back(&mut self, dst: usize, value: BitRow, pred: Predicate) -> Result<()> {
         if self.zero_row == Some(dst) {
             return Err(SramError::ZeroRowClobbered { row: dst });
@@ -599,12 +273,239 @@ impl ComputeArray {
         self.array.write_row(dst, merged)
     }
 
+    #[inline]
     fn tick_compute(&mut self) {
         self.stats.compute_cycles += 1;
     }
 
+    #[inline]
     fn tick_access(&mut self) {
         self.stats.access_cycles += 1;
+    }
+}
+
+impl MicroOps for ComputeArray {
+    #[inline]
+    fn stats(&self) -> CycleStats {
+        self.stats
+    }
+
+    #[inline]
+    fn stats_mut(&mut self) -> &mut CycleStats {
+        &mut self.stats
+    }
+
+    #[inline]
+    fn row_is_zero(&self, row: usize) -> Result<bool> {
+        Ok(self.array.read_row(row)?.is_zero())
+    }
+
+    #[inline]
+    fn preset_carry(&mut self, value: bool) {
+        self.carry = if value {
+            BitRow::ones()
+        } else {
+            BitRow::zero()
+        };
+    }
+
+    #[inline]
+    fn preset_tag(&mut self, value: bool) {
+        self.tag = if value {
+            BitRow::ones()
+        } else {
+            BitRow::zero()
+        };
+    }
+
+    #[inline]
+    fn op_copy(&mut self, src: usize, dst: usize, pred: Predicate) -> Result<()> {
+        let value = self.array.read_row(src)?;
+        self.write_back(dst, value, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_not(&mut self, src: usize, dst: usize, pred: Predicate) -> Result<()> {
+        let zero = self.require_zero_row()?;
+        let out = self.array.sense(src, zero)?.nor;
+        self.write_back(dst, out, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_and(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
+        let out = self.array.sense(a, b)?.and;
+        self.write_back(dst, out, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_nor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
+        let out = self.array.sense(a, b)?.nor;
+        self.write_back(dst, out, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_or(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
+        let out = self.array.sense(a, b)?.nor.not();
+        self.write_back(dst, out, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_xor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
+        let out = self.array.sense(a, b)?.xor;
+        self.write_back(dst, out, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_full_add(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
+        let sensed = self.array.sense(a, b)?;
+        let sum = sensed.xor.xor(&self.carry);
+        let carry_out = sensed.and.or(&sensed.xor.and(&self.carry));
+        self.write_back(dst, sum, pred)?;
+        self.carry = match pred {
+            Predicate::Always => carry_out,
+            Predicate::Tag => carry_out.select(&self.carry, &self.tag),
+        };
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_full_add_const(
+        &mut self,
+        a: usize,
+        kbit: bool,
+        dst: usize,
+        pred: Predicate,
+    ) -> Result<()> {
+        let ra = self.array.read_row(a)?;
+        let rb = if kbit { BitRow::ones() } else { BitRow::zero() };
+        let xor = ra.xor(&rb);
+        let and = ra.and(&rb);
+        let sum = xor.xor(&self.carry);
+        let carry_out = and.or(&xor.and(&self.carry));
+        self.write_back(dst, sum, pred)?;
+        self.carry = match pred {
+            Predicate::Always => carry_out,
+            Predicate::Tag => carry_out.select(&self.carry, &self.tag),
+        };
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_load_tag(&mut self, src: usize) -> Result<()> {
+        self.tag = self.array.read_row(src)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_detect_zero(&mut self, src: usize) -> Result<bool> {
+        self.tag = self.array.read_row(src)?;
+        self.tick_compute();
+        self.stats.detect_cycles += 1;
+        Ok(self.tag.is_zero())
+    }
+
+    #[inline]
+    fn op_load_tag_not(&mut self, src: usize) -> Result<()> {
+        let zero = self.require_zero_row()?;
+        self.tag = self.array.sense(src, zero)?.nor;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_and_tag(&mut self, src: usize, complement: bool) -> Result<()> {
+        let bits = if complement {
+            let zero = self.require_zero_row()?;
+            self.array.sense(src, zero)?.nor
+        } else {
+            self.array.read_row(src)?
+        };
+        self.tag = self.tag.and(&bits);
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_write_carry(&mut self, dst: usize, pred: Predicate) -> Result<()> {
+        let carry = self.carry;
+        self.write_back(dst, carry, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_write_const(&mut self, dst: usize, bit: bool, pred: Predicate) -> Result<()> {
+        let value = if bit { BitRow::ones() } else { BitRow::zero() };
+        self.write_back(dst, value, pred)?;
+        self.tick_compute();
+        Ok(())
+    }
+
+    #[inline]
+    fn op_move_lanes(
+        &mut self,
+        src_row: usize,
+        dst_row: usize,
+        lane_shift: usize,
+        lanes_per_group: usize,
+        group_stride: usize,
+        groups: usize,
+    ) -> Result<()> {
+        if self.zero_row == Some(dst_row) {
+            return Err(SramError::ZeroRowClobbered { row: dst_row });
+        }
+        let source = self.array.read_row(src_row)?;
+        let mut target = self.array.read_row(dst_row)?;
+        for base in (0..groups).map(|g| g * group_stride) {
+            for lane in base..base + lanes_per_group {
+                target.set(lane, source.get(lane + lane_shift));
+            }
+        }
+        self.array.write_row(dst_row, target)?;
+        self.stats.compute_cycles += LANE_MOVE_CYCLES_PER_ROW;
+        Ok(())
+    }
+
+    #[inline]
+    fn access_read_row(&mut self, row: usize) -> Result<BitRow> {
+        let out = self.array.read_row(row)?;
+        self.tick_access();
+        Ok(out)
+    }
+
+    #[inline]
+    fn access_write_lanes(
+        &mut self,
+        row: usize,
+        value: &BitRow,
+        lane_offset: usize,
+        lanes: usize,
+    ) -> Result<()> {
+        if self.zero_row == Some(row) {
+            return Err(SramError::ZeroRowClobbered { row });
+        }
+        let mut target = self.array.read_row(row)?;
+        for lane in 0..lanes {
+            target.set(lane_offset + lane, value.get(lane));
+        }
+        self.array.write_row(row, target)?;
+        self.tick_access();
+        Ok(())
     }
 }
 

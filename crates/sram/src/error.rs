@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn errors_round_trip_through_the_error_paths_that_raise_them() {
-        use crate::{ComputeArray, Operand, Predicate};
+        use crate::{ComputeArray, MicroOps, Operand, Predicate};
         // ColOutOfRange: lane moves past the last bit line.
         let mut a = ComputeArray::with_zero_row(255).unwrap();
         let v = Operand::new(0, 8).unwrap();

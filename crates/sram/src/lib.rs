@@ -17,11 +17,16 @@
 //! - [`SramArray`]: raw 256x256 bit storage with the two-row activation
 //!   primitive and the data-corruption rule (compute ops may activate at most
 //!   two rows; plain reads/writes activate one).
+//! - [`MicroOps`]: the micro-op sink trait. Micro-ops cost exactly one
+//!   cycle; high-level bit-serial operations (`add`, `sub`, `mul`, `div`,
+//!   `max`, `relu`, tree reduction, predicated copies, scalar broadcasts,
+//!   equality search) are provided methods built from micro-ops, so their
+//!   cycle counts are *derived*, not asserted.
 //! - [`ComputeArray`]: the array plus column peripherals and cycle/energy
-//!   accounting. Micro-ops cost exactly one cycle; high-level bit-serial
-//!   operations (`add`, `sub`, `mul`, `div`, `max`, `relu`, tree reduction,
-//!   predicated copies, scalar broadcasts, equality search) are built from
-//!   micro-ops, so their cycle counts are *derived*, not asserted.
+//!   accounting — the sink that executes micro-ops.
+//! - [`Schedule`]: the sink that records each micro-op's word lines without
+//!   data — the per-cycle schedule static verification and derived cost
+//!   constants are built from.
 //! - [`Operand`]: a transposed operand descriptor (base row + bit width).
 //! - [`TransposeUnit`]: the 8T-SRAM transpose memory unit (TMU) that converts
 //!   between bit-parallel and transposed layouts.
@@ -33,7 +38,7 @@
 //! # Example
 //!
 //! ```
-//! use nc_sram::{ComputeArray, Operand};
+//! use nc_sram::{ComputeArray, MicroOps, Operand};
 //!
 //! let mut array = ComputeArray::new();
 //! let a = Operand::new(0, 8)?;
@@ -76,6 +81,7 @@ mod error;
 mod operand;
 pub mod ops;
 mod pool;
+mod schedule;
 mod sram;
 pub mod stats;
 mod transpose;
@@ -84,7 +90,9 @@ pub use bitrow::BitRow;
 pub use compute::{ComputeArray, Predicate};
 pub use error::SramError;
 pub use operand::Operand;
+pub use ops::MicroOps;
 pub use pool::{ArrayPool, PoolStats, PooledArray};
+pub use schedule::{Schedule, Step, StepKind};
 pub use sram::SramArray;
 pub use stats::{ArrayEnergy, ArrayTimings, CycleStats, ValueStats};
 pub use transpose::{TransposeUnit, TMU_TILE_DIM};

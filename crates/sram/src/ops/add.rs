@@ -1,206 +1,9 @@
-//! Bit-serial addition and subtraction (paper Section III-B, Figure 4).
-
-use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
-
-impl ComputeArray {
-    /// Vector addition `dst <- a + b` over every lane.
-    ///
-    /// `a` and `b` must have equal width `n`; `dst` must be `n` or `n+1`
-    /// bits. With an `n+1`-bit destination the final carry is stored in the
-    /// extra row, exactly as in Figure 4 — the full operation then takes
-    /// `n + 1` compute cycles (the paper's published addition cost). With an
-    /// `n`-bit destination the result wraps modulo 2^n in `n` cycles.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch or if `dst` partially overlaps an input
-    /// (aliasing `dst == a` exactly is allowed: each cycle reads the operand
-    /// row before the write-back phase).
-    pub fn add(&mut self, a: Operand, b: Operand, dst: Operand) -> Result<CycleStats> {
-        let n = a.bits();
-        if b.bits() != n {
-            return Err(SramError::OverlappingOperands {
-                what: "addition operands must have equal widths",
-            });
-        }
-        if dst.bits() < n || dst.bits() > n + 1 {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n,
-                available: dst.bits(),
-            });
-        }
-        if a.overlaps(&b) {
-            return Err(SramError::OverlappingOperands {
-                what: "addition inputs overlap (two-row activation needs distinct rows)",
-            });
-        }
-        let dst_lo = dst.slice(0, n).expect("validated above");
-        if (dst_lo.overlaps(&a) && dst_lo != a) || dst.overlaps(&b) {
-            return Err(SramError::OverlappingOperands {
-                what: "addition destination partially overlaps an input",
-            });
-        }
-        // Post-validation invariants every emitted micro-op relies on.
-        debug_assert!(!a.overlaps(&b), "add inputs alias: {a} vs {b}");
-        debug_assert!(
-            a.rows().end <= crate::ROWS
-                && b.rows().end <= crate::ROWS
-                && dst.rows().end <= crate::ROWS,
-            "add operands out of bounds: {a}, {b}, {dst}"
-        );
-        let before = self.stats();
-        self.preset_carry(false);
-        for i in 0..n {
-            self.op_full_add(a.row(i), b.row(i), dst.row(i), Predicate::Always)?;
-        }
-        if dst.bits() == n + 1 {
-            self.op_write_carry(dst.row(n), Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// In-place accumulate `acc <- acc + addend` with zero extension of the
-    /// addend, wrapping modulo 2^`acc.bits()`.
-    ///
-    /// Takes `acc.bits()` compute cycles: full-adder cycles over the addend
-    /// bits, then carry propagation through the remaining accumulator bits
-    /// via constant-zero adds.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the accumulator is narrower than the addend or the regions
-    /// overlap.
-    pub fn add_assign(&mut self, acc: Operand, addend: Operand) -> Result<CycleStats> {
-        if acc.bits() < addend.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: addend.bits(),
-                available: acc.bits(),
-            });
-        }
-        if acc.overlaps(&addend) {
-            return Err(SramError::OverlappingOperands {
-                what: "accumulator overlaps addend",
-            });
-        }
-        let before = self.stats();
-        self.preset_carry(false);
-        for i in 0..addend.bits() {
-            self.op_full_add(addend.row(i), acc.row(i), acc.row(i), Predicate::Always)?;
-        }
-        for i in addend.bits()..acc.bits() {
-            self.op_full_add_const(acc.row(i), false, acc.row(i), Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// In-place broadcast-constant addition `op <- op + k` modulo
-    /// 2^`op.bits()` (`bits` compute cycles).
-    ///
-    /// To add a *negative* constant, pass its two's complement truncated to
-    /// the operand width (see [`ComputeArray::add_scalar_signed`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates row errors.
-    pub fn add_scalar(&mut self, op: Operand, k: u64) -> Result<CycleStats> {
-        let before = self.stats();
-        self.preset_carry(false);
-        for i in 0..op.bits() {
-            let bit = i < 64 && (k >> i) & 1 == 1;
-            self.op_full_add_const(op.row(i), bit, op.row(i), Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// In-place signed broadcast-constant addition `op <- op + k` modulo
-    /// 2^`op.bits()`, accepting negative constants.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `|k|` does not fit in the operand width.
-    pub fn add_scalar_signed(&mut self, op: Operand, k: i64) -> Result<CycleStats> {
-        let bits = op.bits();
-        if bits < 64 {
-            let bound = 1i64 << (bits - 1).min(62);
-            if k >= bound || k < -bound {
-                return Err(SramError::DestinationTooNarrow {
-                    needed: 64 - k.unsigned_abs().leading_zeros() as usize + 1,
-                    available: bits,
-                });
-            }
-        }
-        let mask = if bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        self.add_scalar(op, (k as u64) & mask)
-    }
-
-    /// Vector subtraction `dst <- a - b` (modulo 2^n) via two's complement:
-    /// the complement of `b` is materialized in `scratch`, then added to `a`
-    /// with the carry latch preset to one.
-    ///
-    /// Takes `2n` compute cycles (`n` complement + `n` full adds). After the
-    /// call the **carry latch holds the no-borrow flag**: lane `l`'s carry is
-    /// `1` iff `a[l] >= b[l]` (unsigned) — comparisons and max/min build on
-    /// this.
-    ///
-    /// # Errors
-    ///
-    /// Requires the zero row. All three regions and `scratch` must be
-    /// pairwise non-overlapping except that `dst` may alias `a` exactly.
-    pub fn sub(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        dst: Operand,
-        scratch: Operand,
-    ) -> Result<CycleStats> {
-        let n = a.bits();
-        if b.bits() != n || dst.bits() != n {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n,
-                available: dst.bits().min(b.bits()),
-            });
-        }
-        if scratch.bits() < n {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n,
-                available: scratch.bits(),
-            });
-        }
-        let distinct = [
-            (a.overlaps(&b), "subtraction inputs overlap"),
-            (scratch.overlaps(&a), "scratch overlaps minuend"),
-            (scratch.overlaps(&b), "scratch overlaps subtrahend"),
-            (scratch.overlaps(&dst), "scratch overlaps destination"),
-            (dst.overlaps(&b), "destination overlaps subtrahend"),
-            (
-                dst.overlaps(&a) && dst != a,
-                "destination partially overlaps minuend",
-            ),
-        ];
-        for (bad, what) in distinct {
-            if bad {
-                return Err(SramError::OverlappingOperands { what });
-            }
-        }
-        let before = self.stats();
-        for i in 0..n {
-            self.op_not(b.row(i), scratch.row(i), Predicate::Always)?;
-        }
-        self.preset_carry(true);
-        for i in 0..n {
-            self.op_full_add(a.row(i), scratch.row(i), dst.row(i), Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-}
+//! Tests of the addition and subtraction ops (Section III-B, Figure 4);
+//! the ops themselves are provided methods of [`super::MicroOps`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ComputeArray, MicroOps, Operand};
 
     fn arr() -> ComputeArray {
         ComputeArray::with_zero_row(255).unwrap()

@@ -1,170 +1,10 @@
-//! Comparisons, max/min, `ReLU`, and saturation — the predication-based
-//! supporting functions of Section IV-D.
-
-use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
-
-impl ComputeArray {
-    /// Trial subtraction that leaves `a - b`'s **no-borrow flag** in the
-    /// carry latch without modifying `a`, `b`, or any named region other
-    /// than the single `dump_row` (which receives meaningless sums).
-    ///
-    /// After the call, lane `l`'s carry is `1` iff `a[l] >= b[l]` unsigned.
-    /// Takes `2n` compute cycles (`n` complement + `n` adds).
-    ///
-    /// # Errors
-    ///
-    /// Requires the zero row; `scratch` must hold `n` bits disjoint from the
-    /// inputs, and `dump_row` must lie outside every named region.
-    pub fn compare_ge(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        scratch: Operand,
-        dump_row: usize,
-    ) -> Result<CycleStats> {
-        let n = a.bits();
-        if b.bits() != n {
-            return Err(SramError::OverlappingOperands {
-                what: "comparison operands must have equal widths",
-            });
-        }
-        if scratch.bits() < n {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n,
-                available: scratch.bits(),
-            });
-        }
-        if scratch.overlaps(&a) || scratch.overlaps(&b) || a.overlaps(&b) {
-            return Err(SramError::OverlappingOperands {
-                what: "comparison regions must be pairwise disjoint",
-            });
-        }
-        if a.contains_row(dump_row) || b.contains_row(dump_row) || scratch.contains_row(dump_row) {
-            return Err(SramError::OverlappingOperands {
-                what: "dump row lies inside a comparison region",
-            });
-        }
-        let before = self.stats();
-        for i in 0..n {
-            self.op_not(b.row(i), scratch.row(i), Predicate::Always)?;
-        }
-        self.preset_carry(true);
-        for i in 0..n {
-            self.op_full_add(a.row(i), scratch.row(i), dump_row, Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Unsigned lane-wise running maximum: `acc <- max(acc, x)`.
-    ///
-    /// This is the paper's max dataflow: subtract the candidate from the
-    /// temporary maximum, use the borrow as a mask, and selectively copy the
-    /// candidate over the maximum (Section IV-D). `3n + 2` compute cycles.
-    ///
-    /// # Errors
-    ///
-    /// Same constraints as [`ComputeArray::compare_ge`].
-    pub fn max_assign(
-        &mut self,
-        acc: Operand,
-        x: Operand,
-        scratch: Operand,
-        dump_row: usize,
-    ) -> Result<CycleStats> {
-        let before = self.stats();
-        self.compare_ge(acc, x, scratch, dump_row)?;
-        // carry = (acc >= x); replace where acc < x.
-        self.op_write_carry(dump_row, Predicate::Always)?;
-        self.op_load_tag_not(dump_row)?;
-        self.copy(x, acc, Predicate::Tag)?;
-        Ok(self.stats() - before)
-    }
-
-    /// Unsigned lane-wise running minimum: `acc <- min(acc, x)`
-    /// (`3n + 2` compute cycles).
-    ///
-    /// # Errors
-    ///
-    /// Same constraints as [`ComputeArray::compare_ge`].
-    pub fn min_assign(
-        &mut self,
-        acc: Operand,
-        x: Operand,
-        scratch: Operand,
-        dump_row: usize,
-    ) -> Result<CycleStats> {
-        let before = self.stats();
-        self.compare_ge(acc, x, scratch, dump_row)?;
-        // carry = (acc >= x); replace where acc >= x (ties copy harmlessly).
-        self.op_write_carry(dump_row, Predicate::Always)?;
-        self.op_load_tag(dump_row)?;
-        self.copy(x, acc, Predicate::Tag)?;
-        Ok(self.stats() - before)
-    }
-
-    /// `ReLU` on a two's-complement operand: lanes with a set sign bit are
-    /// overwritten with zero, using the MSB as the write-enable mask exactly
-    /// as described in Section IV-D. `n + 1` compute cycles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates row errors.
-    pub fn relu(&mut self, x: Operand) -> Result<CycleStats> {
-        let before = self.stats();
-        self.op_load_tag(x.msb_row())?;
-        for i in 0..x.bits() {
-            self.op_write_const(x.row(i), false, Predicate::Tag)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Saturating clamp against a broadcast constant: lanes whose unsigned
-    /// value exceeds `k` are overwritten with `k` (`2n + 2` compute cycles).
-    /// Used as the final saturation of the requantization pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` does not fit in the operand or `dump_row` lies inside it.
-    pub fn clamp_max_scalar(&mut self, op: Operand, k: u64, dump_row: usize) -> Result<CycleStats> {
-        if op.bits() < 64 && k >= op.max_value() {
-            // k == max is a no-op clamp; treat "k beyond range" as an error
-            // only when it cannot fit at all.
-            if k > op.max_value() {
-                return Err(SramError::DestinationTooNarrow {
-                    needed: 64 - k.leading_zeros() as usize,
-                    available: op.bits(),
-                });
-            }
-        }
-        if op.contains_row(dump_row) {
-            return Err(SramError::OverlappingOperands {
-                what: "dump row lies inside the clamped region",
-            });
-        }
-        let before = self.stats();
-        // carry = (op >= k + 1) = (op > k), via op + ~(k+1) + 1.
-        let Some(threshold) = k.checked_add(1) else {
-            return Ok(CycleStats::new()); // nothing exceeds u64::MAX
-        };
-        let notk = !threshold;
-        self.preset_carry(true);
-        for i in 0..op.bits() {
-            let bit = i < 64 && (notk >> i) & 1 == 1;
-            self.op_full_add_const(op.row(i), bit, dump_row, Predicate::Always)?;
-        }
-        self.op_write_carry(dump_row, Predicate::Always)?;
-        self.op_load_tag(dump_row)?;
-        for i in 0..op.bits() {
-            let bit = i < 64 && (k >> i) & 1 == 1;
-            self.op_write_const(op.row(i), bit, Predicate::Tag)?;
-        }
-        Ok(self.stats() - before)
-    }
-}
+//! Tests of the comparison, max/min, `ReLU` and saturation ops — the
+//! predication-based supporting functions of Section IV-D; the ops
+//! themselves are provided methods of [`super::MicroOps`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ComputeArray, MicroOps, Operand};
 
     fn arr() -> ComputeArray {
         ComputeArray::with_zero_row(255).unwrap()

@@ -1,11 +1,13 @@
 //! Bit-serial restoring division (Section III-C mentions division support;
 //! Neural Cache uses it for average pooling, where the divisor is the
-//! pooling-window size).
+//! pooling-window size). The ops are [`MicroOps::div`] and
+//! [`MicroOps::div_scalar`]; this module holds their shared dataflow.
 
-use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
+use super::MicroOps;
+use crate::{Operand, Predicate, Result, SramError};
 
-/// Scratch rows required by [`ComputeArray::div`] and
-/// [`ComputeArray::div_scalar`] for a divisor of `d` bits: the remainder
+/// Scratch rows required by [`MicroOps::div`] and
+/// [`MicroOps::div_scalar`] for a divisor of `d` bits: the remainder
 /// register is one bit wider than the divisor, and general division also
 /// materializes the divisor's complement and a trial-difference register of
 /// the same width.
@@ -14,175 +16,88 @@ pub fn div_scratch_bits(divisor_bits: usize) -> usize {
     divisor_bits + 1
 }
 
-impl ComputeArray {
-    /// Unsigned restoring division: `quot <- num / den`, `rem <- num % den`,
-    /// lane-wise.
-    ///
-    /// Per quotient bit the remainder is shifted up by one row, the divisor
-    /// is trial-subtracted into `trial`, and the no-borrow carry selects
-    /// (via the tag latch) whether the trial difference is committed. The
-    /// remainder and trial registers are `w = den.bits() + 1` bits wide.
-    ///
-    /// Derived cycle count: `~n * (3w + 3) + w` for `n = num.bits()` — about
-    /// `3n^2` for equal widths, versus the paper's published
-    /// `1.5n^2 + 5.5n`; the paper's tighter bound assumes non-restoring
-    /// division with fused sign handling, while this implementation favors
-    /// the simpler restoring form. Both costs are exposed to the timing
-    /// model (DESIGN.md §6).
-    ///
-    /// Lanes whose divisor is zero produce an all-ones quotient (the
-    /// trial subtraction never borrows); no error is raised because idle
-    /// lanes legitimately hold zeros.
-    ///
-    /// # Errors
-    ///
-    /// Requires the zero row. `rem`, `trial`, and `notden` must each hold
-    /// `w` bits; all regions must be pairwise disjoint.
-    pub fn div(
-        &mut self,
-        num: Operand,
-        den: Operand,
-        quot: Operand,
-        rem: Operand,
-        trial: Operand,
-        notden: Operand,
-    ) -> Result<CycleStats> {
-        let n = num.bits();
-        let w = den.bits() + 1;
-        if quot.bits() < n {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n,
-                available: quot.bits(),
+/// Validates a division's registers: `quot` holds every quotient bit, each
+/// of `regs` holds `w` bits, and `num`, `others`, `quot` and `regs` are
+/// pairwise disjoint.
+pub(super) fn validate(
+    num: Operand,
+    quot: Operand,
+    regs: &[Operand],
+    w: usize,
+    others: &[Operand],
+) -> Result<()> {
+    if quot.bits() < num.bits() {
+        return Err(SramError::DestinationTooNarrow {
+            needed: num.bits(),
+            available: quot.bits(),
+        });
+    }
+    if let Some(reg) = regs.iter().find(|r| r.bits() < w) {
+        return Err(SramError::DestinationTooNarrow {
+            needed: w,
+            available: reg.bits(),
+        });
+    }
+    let regions: Vec<Operand> = [num, quot]
+        .iter()
+        .chain(regs)
+        .chain(others)
+        .copied()
+        .collect();
+    for (i, a) in regions.iter().enumerate() {
+        if regions[i + 1..].iter().any(|b| a.overlaps(b)) {
+            return Err(SramError::OverlappingOperands {
+                what: "division register regions must be pairwise disjoint",
             });
         }
-        for (reg, name) in [(rem, "remainder"), (trial, "trial"), (notden, "complement")] {
-            if reg.bits() < w {
-                return Err(SramError::DestinationTooNarrow {
-                    needed: w,
-                    available: reg.bits(),
-                });
-            }
-            let _ = name;
-        }
-        let regions = [num, den, quot, rem, trial, notden];
-        for i in 0..regions.len() {
-            for j in i + 1..regions.len() {
-                if regions[i].overlaps(&regions[j]) {
-                    return Err(SramError::OverlappingOperands {
-                        what: "division register regions must be pairwise disjoint",
-                    });
-                }
-            }
-        }
-        let before = self.stats();
-
-        // notden <- ~den, zero-extended to w bits (so its top bit is 1).
-        for i in 0..den.bits() {
-            self.op_not(den.row(i), notden.row(i), Predicate::Always)?;
-        }
-        self.op_write_const(notden.row(w - 1), true, Predicate::Always)?;
-        self.zero(rem.slice(0, w).expect("validated"))?;
-
-        for i in (0..n).rev() {
-            // rem <- (rem << 1) | num[i]
-            for k in (1..w).rev() {
-                self.op_copy(rem.row(k - 1), rem.row(k), Predicate::Always)?;
-            }
-            self.op_copy(num.row(i), rem.row(0), Predicate::Always)?;
-            // trial <- rem - den  (rem + ~den + 1); carry = no borrow.
-            self.preset_carry(true);
-            for k in 0..w {
-                self.op_full_add(rem.row(k), notden.row(k), trial.row(k), Predicate::Always)?;
-            }
-            // quot[i] <- carry; commit trial where it did not borrow.
-            self.op_write_carry(quot.row(i), Predicate::Always)?;
-            self.op_load_tag(quot.row(i))?;
-            for k in 0..w {
-                self.op_copy(trial.row(k), rem.row(k), Predicate::Tag)?;
-            }
-        }
-        // Zero any excess quotient bits.
-        for i in n..quot.bits() {
-            self.op_write_const(quot.row(i), false, Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
     }
+    Ok(())
+}
 
-    /// Unsigned restoring division by a broadcast constant `k` (the average
-    /// pooling divisor). Identical dataflow to [`ComputeArray::div`] but the
-    /// divisor complement is generated by the control FSM, saving the
-    /// complement registers.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k == 0`, or on the same region constraints as `div`.
-    pub fn div_scalar(
-        &mut self,
-        num: Operand,
-        k: u64,
-        quot: Operand,
-        rem: Operand,
-        trial: Operand,
-    ) -> Result<CycleStats> {
-        if k == 0 {
-            return Err(SramError::DivisionByZero { lane: 0 });
+/// The restoring-division loop over a `w`-bit remainder: per quotient bit
+/// (MSB first) shift the remainder up and bring in the numerator bit,
+/// trial-subtract the divisor into `trial` (`trial_add(s, k)` issues the
+/// full add of bit `k` with the carry preset to one), commit the no-borrow
+/// carry as the quotient bit, and copy the trial back where it did not
+/// borrow. Excess quotient bits are zeroed.
+pub(super) fn restoring<S: MicroOps + ?Sized>(
+    s: &mut S,
+    num: Operand,
+    quot: Operand,
+    rem: Operand,
+    trial: Operand,
+    w: usize,
+    mut trial_add: impl FnMut(&mut S, usize) -> Result<()>,
+) -> Result<()> {
+    s.zero(rem.slice(0, w).expect("validated"))?;
+    for i in (0..num.bits()).rev() {
+        // rem <- (rem << 1) | num[i]
+        for k in (1..w).rev() {
+            s.op_copy(rem.row(k - 1), rem.row(k), Predicate::Always)?;
         }
-        let n = num.bits();
-        let kbits = (64 - k.leading_zeros()) as usize;
-        let w = kbits + 1;
-        if quot.bits() < n {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n,
-                available: quot.bits(),
-            });
+        s.op_copy(num.row(i), rem.row(0), Predicate::Always)?;
+        // trial <- rem - den; carry = no borrow.
+        s.preset_carry(true);
+        for k in 0..w {
+            trial_add(s, k)?;
         }
-        for reg in [rem, trial] {
-            if reg.bits() < w {
-                return Err(SramError::DestinationTooNarrow {
-                    needed: w,
-                    available: reg.bits(),
-                });
-            }
+        // quot[i] <- carry; commit trial where it did not borrow.
+        s.op_write_carry(quot.row(i), Predicate::Always)?;
+        s.op_load_tag(quot.row(i))?;
+        for k in 0..w {
+            s.op_copy(trial.row(k), rem.row(k), Predicate::Tag)?;
         }
-        let regions = [num, quot, rem, trial];
-        for i in 0..regions.len() {
-            for j in i + 1..regions.len() {
-                if regions[i].overlaps(&regions[j]) {
-                    return Err(SramError::OverlappingOperands {
-                        what: "division register regions must be pairwise disjoint",
-                    });
-                }
-            }
-        }
-        let notk = !k; // two's complement add of ~k + 1 subtracts k
-        let before = self.stats();
-        self.zero(rem.slice(0, w).expect("validated"))?;
-        for i in (0..n).rev() {
-            for r in (1..w).rev() {
-                self.op_copy(rem.row(r - 1), rem.row(r), Predicate::Always)?;
-            }
-            self.op_copy(num.row(i), rem.row(0), Predicate::Always)?;
-            self.preset_carry(true);
-            for r in 0..w {
-                let bit = r < 64 && (notk >> r) & 1 == 1;
-                self.op_full_add_const(rem.row(r), bit, trial.row(r), Predicate::Always)?;
-            }
-            self.op_write_carry(quot.row(i), Predicate::Always)?;
-            self.op_load_tag(quot.row(i))?;
-            for r in 0..w {
-                self.op_copy(trial.row(r), rem.row(r), Predicate::Tag)?;
-            }
-        }
-        for i in n..quot.bits() {
-            self.op_write_const(quot.row(i), false, Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
     }
+    for i in num.bits()..quot.bits() {
+        s.op_write_const(quot.row(i), false, Predicate::Always)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ComputeArray, Operand};
 
     fn arr() -> ComputeArray {
         ComputeArray::with_zero_row(255).unwrap()

@@ -1,193 +1,8 @@
-//! Region-wide copies, constants, complements, logic ops and equality search.
+//! Tests of the region-wide copies, constants, complements, logic ops and
+//! equality search (provided methods of [`super::MicroOps`]), and the logic
+//! op selector.
 
-use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
-
-impl ComputeArray {
-    /// Zeroes an operand on every lane (`bits` compute cycles — the bulk
-    /// zeroing primitive of Compute Cache).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the operand overlaps the dedicated zero row.
-    pub fn zero(&mut self, op: Operand) -> Result<CycleStats> {
-        let before = self.stats();
-        for i in 0..op.bits() {
-            self.op_write_const(op.row(i), false, Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Writes the broadcast constant `k` into the operand on every lane
-    /// (`bits` compute cycles, one constant row-write per bit).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `k` does not fit in the operand or the operand overlaps the
-    /// zero row.
-    pub fn broadcast_scalar(&mut self, op: Operand, k: u64) -> Result<CycleStats> {
-        if op.bits() < 64 && k > op.max_value() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: 64 - k.leading_zeros() as usize,
-                available: op.bits(),
-            });
-        }
-        let before = self.stats();
-        for i in 0..op.bits() {
-            let bit = i < 64 && (k >> i) & 1 == 1;
-            self.op_write_const(op.row(i), bit, Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Copies operand `src` to `dst` on every lane, optionally tag-gated
-    /// (`bits` compute cycles). Widths must match; use
-    /// [`ComputeArray::copy_zext`] to widen.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch or partial overlap of the two regions.
-    pub fn copy(&mut self, src: Operand, dst: Operand, pred: Predicate) -> Result<CycleStats> {
-        if src.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: src.bits(),
-                available: dst.bits(),
-            });
-        }
-        if src.overlaps(&dst) && src != dst {
-            return Err(SramError::OverlappingOperands {
-                what: "copy source and destination partially overlap",
-            });
-        }
-        let before = self.stats();
-        if src != dst {
-            for i in 0..src.bits() {
-                self.op_copy(src.row(i), dst.row(i), pred)?;
-            }
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Copies `src` into the wider `dst`, zero-extending the upper bits
-    /// (`dst.bits()` compute cycles).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `dst` is narrower than `src` or the regions overlap.
-    pub fn copy_zext(&mut self, src: Operand, dst: Operand) -> Result<CycleStats> {
-        if dst.bits() < src.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: src.bits(),
-                available: dst.bits(),
-            });
-        }
-        if src.overlaps(&dst) {
-            return Err(SramError::OverlappingOperands {
-                what: "zero-extending copy source and destination overlap",
-            });
-        }
-        let before = self.stats();
-        for i in 0..src.bits() {
-            self.op_copy(src.row(i), dst.row(i), Predicate::Always)?;
-        }
-        for i in src.bits()..dst.bits() {
-            self.op_write_const(dst.row(i), false, Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Column-wise complement of an operand (`bits` compute cycles). In-place
-    /// operation (`src == dst`) is allowed.
-    ///
-    /// # Errors
-    ///
-    /// Requires the dedicated zero row; fails on width mismatch or partial
-    /// overlap.
-    pub fn not_region(&mut self, src: Operand, dst: Operand) -> Result<CycleStats> {
-        if src.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: src.bits(),
-                available: dst.bits(),
-            });
-        }
-        if src.overlaps(&dst) && src != dst {
-            return Err(SramError::OverlappingOperands {
-                what: "complement source and destination partially overlap",
-            });
-        }
-        let before = self.stats();
-        for i in 0..src.bits() {
-            self.op_not(src.row(i), dst.row(i), Predicate::Always)?;
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Column-wise binary logic over two equal-width operands into `dst`
-    /// (`bits` compute cycles). `op` selects AND/OR/XOR/NOR.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch or when `dst` partially overlaps an input.
-    pub fn logic_region(
-        &mut self,
-        op: LogicOp,
-        a: Operand,
-        b: Operand,
-        dst: Operand,
-    ) -> Result<CycleStats> {
-        if a.bits() != b.bits() || a.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: a.bits().max(b.bits()),
-                available: dst.bits(),
-            });
-        }
-        if a.overlaps(&b) {
-            return Err(SramError::OverlappingOperands {
-                what: "logic inputs overlap (two-row activation needs distinct rows)",
-            });
-        }
-        if (dst.overlaps(&a) && dst != a) || (dst.overlaps(&b) && dst != b) {
-            return Err(SramError::OverlappingOperands {
-                what: "logic destination partially overlaps an input",
-            });
-        }
-        let before = self.stats();
-        for i in 0..a.bits() {
-            match op {
-                LogicOp::And => self.op_and(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-                LogicOp::Or => self.op_or(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-                LogicOp::Xor => self.op_xor(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-                LogicOp::Nor => self.op_nor(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-            }
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Bit-serial equality search against a broadcast constant: after the
-    /// call, the tag latch holds `1` exactly on lanes whose operand equals
-    /// `k` (`bits` compute cycles). This is the Compute Cache search
-    /// primitive.
-    ///
-    /// # Errors
-    ///
-    /// Requires the zero row (complement senses); fails if `k` does not fit.
-    pub fn search_eq_scalar(&mut self, op: Operand, k: u64) -> Result<CycleStats> {
-        if op.bits() < 64 && k > op.max_value() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: 64 - k.leading_zeros() as usize,
-                available: op.bits(),
-            });
-        }
-        let before = self.stats();
-        self.preset_tag(true);
-        for i in 0..op.bits() {
-            let want_one = i < 64 && (k >> i) & 1 == 1;
-            self.op_and_tag(op.row(i), !want_one)?;
-        }
-        Ok(self.stats() - before)
-    }
-}
-
-/// Binary logic operation selector for [`ComputeArray::logic_region`].
+/// Binary logic operation selector for [`super::MicroOps::logic_region`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogicOp {
     /// Column-wise AND (direct bit-line sense).
@@ -203,6 +18,7 @@ pub enum LogicOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ComputeArray, MicroOps, Operand, Predicate};
 
     fn arr() -> ComputeArray {
         ComputeArray::with_zero_row(255).unwrap()

@@ -1,283 +1,122 @@
 //! Bit-serial multiplication via predicated shifted adds (Section III-C,
-//! Figure 6).
+//! Figure 6): the round loops behind the `mul` family of [`MicroOps`]
+//! provided methods, their shared multiplier-bit round, and the family's
+//! operand validation.
 
-use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
+use super::MicroOps;
+use crate::{CycleStats, Operand, Predicate, Result, SramError};
 
-impl ComputeArray {
-    /// Vector multiplication `prod <- a * b` on every lane.
-    ///
-    /// For each multiplier bit `j` (LSB first), the multiplier bit is loaded
-    /// into the tag latch and the multiplicand is conditionally added into
-    /// the partial product at offset `j`; the round's carry-out is stored
-    /// into `prod[j + n]` (tag-gated) before the next round. This is the
-    /// Figure 6 algorithm with the carry correctly committed at each round
-    /// boundary.
-    ///
-    /// Cycle count (derived): `prod.bits()` zeroing + `m * (n + 2)` where
-    /// `n = a.bits()`, `m = b.bits()`. For n = m it is `n^2 + 4n` including
-    /// initialization — the paper quotes `n^2 + 5n - 2`, which matches at
-    /// n = 2 (the published walkthrough) and differs by `n - 2` cycles for
-    /// wider operands; see DESIGN.md §6.
-    ///
-    /// The tag and carry latches are clobbered.
-    ///
-    /// # Errors
-    ///
-    /// `prod` must hold at least `n + m` bits and be disjoint from both
-    /// inputs; inputs must not overlap each other.
-    pub fn mul(&mut self, a: Operand, b: Operand, prod: Operand) -> Result<CycleStats> {
-        self.validate_mul(a, b, prod)?;
-        let (n, m) = (a.bits(), b.bits());
-        let before = self.stats();
-        self.zero(prod)?;
-        for j in 0..m {
-            self.note_mul_round();
-            self.mul_round(a, b, prod, j, n)?;
-        }
-        Ok(self.stats() - before)
+/// Compute cycles of one executed multiplier-bit round with `adds`
+/// predicated adds ([`round`]: tag load, the adds, carry commit). An elided
+/// round saves `round_cycles(n)`; a truncated one saves the difference.
+pub(super) const fn round_cycles(adds: usize) -> u64 {
+    adds as u64 + 2
+}
+
+/// One multiplier-bit round of the Figure 6 algorithm: load the tag from
+/// multiplier bit `j`, conditionally add the low `adds` multiplicand bits
+/// into the partial product at offset `j`, commit the round's carry-out at
+/// `prod[j + adds]`.
+pub(super) fn round<S: MicroOps + ?Sized>(
+    s: &mut S,
+    a: Operand,
+    b: Operand,
+    prod: Operand,
+    j: usize,
+    adds: usize,
+) -> Result<()> {
+    let before = s.stats().compute_cycles;
+    s.op_load_tag(b.row(j))?;
+    s.preset_carry(false);
+    for i in 0..adds {
+        s.op_full_add(a.row(i), prod.row(j + i), prod.row(j + i), Predicate::Tag)?;
     }
+    s.op_write_carry(prod.row(j + adds), Predicate::Tag)?;
+    debug_assert_eq!(s.stats().compute_cycles - before, round_cycles(adds));
+    Ok(())
+}
 
-    /// Vector multiplication with **all-lanes-zero round elision**: a
-    /// multiplier-bit round whose bit-slice row holds `0` on every lane is
-    /// skipped outright instead of executing `n` predicated adds that
-    /// cannot write anything (the tag latch would be all-zero, so both the
-    /// write-back and the carry update are disabled on every column — the
-    /// round is a functional no-op by construction).
-    ///
-    /// The products are **bit-identical** to [`ComputeArray::mul`]; only
-    /// the cycle count changes. Elided rounds cost zero array cycles: the
-    /// intended use is weight-stationary MACs where the multiplier rows are
-    /// filter bit-slices, and the control FSM learns which rows are
-    /// all-zero for free when the transpose unit writes them at filter-load
-    /// time (paper Section VII names this sparsity opportunity as future
-    /// work; `BitWave` develops the same column-wise bit-level skip).
-    /// Skipped rounds are reported via [`CycleStats::skipped_rounds`] and
-    /// the saved compute cycles via [`CycleStats::skipped_cycles`].
-    ///
-    /// # Errors
-    ///
-    /// Same operand constraints as [`ComputeArray::mul`].
-    pub fn mul_skip_zero_rows(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        prod: Operand,
-    ) -> Result<CycleStats> {
-        self.validate_mul(a, b, prod)?;
-        let (n, m) = (a.bits(), b.bits());
-        let before = self.stats();
-        self.zero(prod)?;
-        for j in 0..m {
-            self.note_mul_round();
-            if self.cells().read_row(b.row(j))?.is_zero() {
-                // Dense cost of the elided round: tag load + n predicated
-                // adds + carry write.
-                self.note_skipped_round(n as u64 + 2);
-                continue;
-            }
-            self.mul_round(a, b, prod, j, n)?;
+/// The multiply with statically known rounds: every multiplier bit-slice
+/// runs a round, except that `skip_zero_rows` elides the slices the FSM
+/// knows are zero on every lane ([`MicroOps::row_is_zero`]).
+pub(super) fn static_rounds<S: MicroOps + ?Sized>(
+    s: &mut S,
+    a: Operand,
+    b: Operand,
+    prod: Operand,
+    skip_zero_rows: bool,
+) -> Result<CycleStats> {
+    validate(a, b, prod)?;
+    let n = a.bits();
+    let before = s.stats();
+    s.zero(prod)?;
+    for j in 0..b.bits() {
+        s.stats_mut().mul_rounds += 1;
+        if skip_zero_rows && s.row_is_zero(b.row(j))? {
+            let stats = s.stats_mut();
+            stats.skipped_rounds += 1;
+            stats.skipped_cycles += round_cycles(n);
+            continue;
         }
-        Ok(self.stats() - before)
+        round(s, a, b, prod, j, n)?;
     }
+    Ok(s.stats() - before)
+}
 
-    /// Vector multiplication with **dynamic input-bit round elision**: the
-    /// multiplier `b` holds streamed input activations, so the control FSM
-    /// cannot precompute which bit-slice rows are all-zero (unlike the
-    /// stationary weights of [`ComputeArray::mul_skip_zero_rows`]). Instead
-    /// every scheduled round pays a **1-cycle tag-latch wired-NOR
-    /// zero-detect** ([`ComputeArray::op_detect_zero`]): the multiplier
-    /// bit-slice is sensed into the tags and the wired-NOR reports whether
-    /// any lane holds a `1`. A round whose slice is zero on every lane is
-    /// then elided (the tag-gated adds and carry write could not change any
-    /// cell); a live round executes the normal Figure 6 schedule.
-    ///
-    /// The products are **bit-identical** to [`ComputeArray::mul`]. Cycle
-    /// accounting: every round adds one cycle to
-    /// [`CycleStats::detect_cycles`] (also counted in `compute_cycles` —
-    /// the model conservatively does not fuse the detect with the live
-    /// round's tag load), elided rounds are counted in
-    /// [`CycleStats::input_rounds_skipped`] and save `n + 2` cycles in
-    /// [`CycleStats::skipped_cycles`]. Skipping therefore nets a gain only
-    /// when more than ~1/(n+2) of the rounds are elidable — ReLU-sparse
-    /// activations clear that bar easily; dense ones do not.
-    ///
-    /// # Errors
-    ///
-    /// Same operand constraints as [`ComputeArray::mul`].
-    pub fn mul_skip_zero_input_bits(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        prod: Operand,
-    ) -> Result<CycleStats> {
-        self.validate_mul(a, b, prod)?;
-        let (n, m) = (a.bits(), b.bits());
-        let before = self.stats();
-        self.zero(prod)?;
-        for j in 0..m {
-            self.note_mul_round();
-            if self.op_detect_zero(b.row(j))? {
-                self.note_input_round_skipped(n as u64 + 2);
-                continue;
-            }
-            self.mul_round(a, b, prod, j, n)?;
+/// The dynamic-skip multiply: every round pays the wired-NOR detect on
+/// multiplier bit `j`; an all-zero slice elides the round, a live one runs
+/// with `live` predicated adds (`live == a.bits()` is plain input-bit
+/// skipping, fewer is static multiplicand truncation).
+pub(super) fn skip_input_rounds<S: MicroOps + ?Sized>(
+    s: &mut S,
+    a: Operand,
+    b: Operand,
+    prod: Operand,
+    live: usize,
+) -> Result<CycleStats> {
+    validate(a, b, prod)?;
+    let n = a.bits();
+    let before = s.stats();
+    s.zero(prod)?;
+    for j in 0..b.bits() {
+        s.stats_mut().mul_rounds += 1;
+        if s.op_detect_zero(b.row(j))? {
+            let stats = s.stats_mut();
+            stats.input_rounds_skipped += 1;
+            stats.skipped_cycles += round_cycles(n);
+            continue;
         }
-        Ok(self.stats() - before)
+        s.stats_mut().skipped_cycles += round_cycles(n) - round_cycles(live);
+        round(s, a, b, prod, j, live)?;
     }
+    Ok(s.stats() - before)
+}
 
-    /// Vector multiplication composing **both** sparsity mechanisms: the
-    /// dynamic input-bit zero-detect of
-    /// [`ComputeArray::mul_skip_zero_input_bits`] on the multiplier `b`
-    /// (streamed activations), plus **static multiplicand truncation** on
-    /// `a` (stationary weights): the FSM knows from filter-load time the
-    /// highest weight bit-slice row that is live on *any* lane, and
-    /// schedules only `live` predicated adds per executed round instead of
-    /// `n`, committing the carry directly at `prod[j + live]`.
-    ///
-    /// Truncation is bit-exact: rows of `a` at and above `live` are zero on
-    /// every lane, so the dense schedule's upper adds only ripple the
-    /// carry-out into `prod[j + live]` (which is provably zero before round
-    /// `j` — all earlier writes land strictly below it) and write zeros
-    /// above; committing the carry latch there directly produces the same
-    /// cells. Note this captures *contiguous top* weight-bit sparsity
-    /// (low-magnitude quantization); isolated all-zero middle rows still
-    /// execute, because mid-chain adds must propagate carries — eliding
-    /// those requires the weights to be the multiplier, which is exactly
-    /// [`ComputeArray::mul_skip_zero_rows`]'s regime.
-    ///
-    /// Cycle accounting: as `mul_skip_zero_input_bits`, plus
-    /// `n - live` cycles per executed round are recorded in
-    /// [`CycleStats::skipped_cycles`] (no round counter — the round runs,
-    /// shortened).
-    ///
-    /// # Errors
-    ///
-    /// Same operand constraints as [`ComputeArray::mul`].
-    pub fn mul_skip_both(&mut self, a: Operand, b: Operand, prod: Operand) -> Result<CycleStats> {
-        self.validate_mul(a, b, prod)?;
-        let (n, m) = (a.bits(), b.bits());
-        // Highest live multiplicand bit across every lane — known to the
-        // FSM for free when the transpose unit writes the filter rows.
-        let mut live = 0;
-        for i in (0..n).rev() {
-            if !self.cells().read_row(a.row(i))?.is_zero() {
-                live = i + 1;
-                break;
-            }
-        }
-        let before = self.stats();
-        self.zero(prod)?;
-        for j in 0..m {
-            self.note_mul_round();
-            if self.op_detect_zero(b.row(j))? {
-                self.note_input_round_skipped(n as u64 + 2);
-                continue;
-            }
-            self.note_truncated_cycles((n - live) as u64);
-            self.op_load_tag(b.row(j))?;
-            self.preset_carry(false);
-            for i in 0..live {
-                self.op_full_add(a.row(i), prod.row(j + i), prod.row(j + i), Predicate::Tag)?;
-            }
-            self.op_write_carry(prod.row(j + live), Predicate::Tag)?;
-        }
-        Ok(self.stats() - before)
+/// Shared operand validation of the vector-multiply family.
+pub(super) fn validate(a: Operand, b: Operand, prod: Operand) -> Result<()> {
+    let (n, m) = (a.bits(), b.bits());
+    if prod.bits() < n + m {
+        return Err(SramError::DestinationTooNarrow {
+            needed: n + m,
+            available: prod.bits(),
+        });
     }
-
-    /// One multiplier-bit round of the Figure 6 algorithm: load the tag
-    /// from multiplier bit `j`, conditionally add the multiplicand into the
-    /// partial product at offset `j`, commit the round's carry-out.
-    fn mul_round(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        prod: Operand,
-        j: usize,
-        n: usize,
-    ) -> Result<()> {
-        self.op_load_tag(b.row(j))?;
-        self.preset_carry(false);
-        for i in 0..n {
-            self.op_full_add(a.row(i), prod.row(j + i), prod.row(j + i), Predicate::Tag)?;
-        }
-        self.op_write_carry(prod.row(j + n), Predicate::Tag)?;
-        Ok(())
+    if a.overlaps(&b) {
+        return Err(SramError::OverlappingOperands {
+            what: "multiplication inputs overlap",
+        });
     }
-
-    /// Shared operand validation of the vector-multiply family.
-    fn validate_mul(&self, a: Operand, b: Operand, prod: Operand) -> Result<()> {
-        let (n, m) = (a.bits(), b.bits());
-        if prod.bits() < n + m {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n + m,
-                available: prod.bits(),
-            });
-        }
-        if a.overlaps(&b) {
-            return Err(SramError::OverlappingOperands {
-                what: "multiplication inputs overlap",
-            });
-        }
-        if prod.overlaps(&a) || prod.overlaps(&b) {
-            return Err(SramError::OverlappingOperands {
-                what: "product region overlaps an input",
-            });
-        }
-        // Post-validation invariants every emitted micro-op relies on.
-        debug_assert!(
-            !a.overlaps(&b) && !prod.overlaps(&a) && !prod.overlaps(&b),
-            "mul operands alias: {a}, {b}, {prod}"
-        );
-        debug_assert!(
-            a.rows().end <= crate::ROWS
-                && b.rows().end <= crate::ROWS
-                && prod.rows().end <= crate::ROWS,
-            "mul operands out of bounds: {a}, {b}, {prod}"
-        );
-        Ok(())
+    if prod.overlaps(&a) || prod.overlaps(&b) {
+        return Err(SramError::OverlappingOperands {
+            what: "product region overlaps an input",
+        });
     }
-
-    /// In-place broadcast-scalar multiplication `prod <- a * k`.
-    ///
-    /// The constant lives in the control FSM, so no tag loads are needed:
-    /// for every set bit `j` of `k` the multiplicand is added into
-    /// `prod[j..]` with full carry propagation to the top of the product
-    /// region. Used by the requantization pipeline (Section IV-D), where the
-    /// CPU returns scalar multipliers applied in-cache.
-    ///
-    /// # Errors
-    ///
-    /// `prod` must hold `a.bits() + bit_length(k)` bits and be disjoint from
-    /// `a`.
-    pub fn mul_scalar(&mut self, a: Operand, k: u64, prod: Operand) -> Result<CycleStats> {
-        let n = a.bits();
-        let klen = (64 - k.leading_zeros()) as usize;
-        if k != 0 && prod.bits() < n + klen {
-            return Err(SramError::DestinationTooNarrow {
-                needed: n + klen,
-                available: prod.bits(),
-            });
-        }
-        if prod.overlaps(&a) {
-            return Err(SramError::OverlappingOperands {
-                what: "product region overlaps the multiplicand",
-            });
-        }
-        let before = self.stats();
-        self.zero(prod)?;
-        for j in 0..klen {
-            if (k >> j) & 1 == 1 {
-                let window = prod.slice(j, prod.bits() - j).expect("validated width");
-                self.add_assign(window, a)?;
-            }
-        }
-        Ok(self.stats() - before)
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ComputeArray, MicroOps, Operand, SramError};
 
     fn arr() -> ComputeArray {
         ComputeArray::with_zero_row(255).unwrap()

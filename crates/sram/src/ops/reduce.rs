@@ -4,9 +4,11 @@
 //! each step the upper half of the surviving lanes is moved sideways (a
 //! word-line move through the column-multiplexed sense amps) underneath the
 //! lower half, and a region-wide addition halves the live lane count. After
-//! `log2(lanes)` steps lane 0 holds the sum.
+//! `log2(lanes)` steps lane 0 holds the sum. The ops are provided methods
+//! of [`MicroOps`]; this module holds the shared tree.
 
-use crate::{ComputeArray, CycleStats, Operand, Result, SramError, COLS};
+use super::MicroOps;
+use crate::{CycleStats, Operand, Result, SramError, COLS};
 
 /// Compute cycles charged per row for a lane move.
 ///
@@ -17,266 +19,45 @@ use crate::{ComputeArray, CycleStats, Operand, Result, SramError, COLS};
 /// every affected lane in parallel.
 pub const LANE_MOVE_CYCLES_PER_ROW: u64 = 2;
 
-impl ComputeArray {
-    /// Lane move: for every `lane < lanes`, copies `src`'s operand from lane
-    /// `lane + lane_shift` into `dst` on `lane`. Lanes `>= lanes` keep their
-    /// `dst` contents. Charges [`LANE_MOVE_CYCLES_PER_ROW`] compute cycles
-    /// per row.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, lane overflow, row-overlapping regions, or
-    /// an attempt to write the zero row.
-    pub fn move_lanes(
-        &mut self,
-        src: Operand,
-        dst: Operand,
-        lane_shift: usize,
-        lanes: usize,
-    ) -> Result<CycleStats> {
-        if src.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: src.bits(),
-                available: dst.bits(),
-            });
-        }
-        if lanes == 0 || lanes + lane_shift > COLS {
-            return Err(SramError::ColOutOfRange {
-                col: lanes + lane_shift,
-            });
-        }
-        if src.overlaps(&dst) {
-            return Err(SramError::OverlappingOperands {
-                what: "lane-move source and destination share rows",
-            });
-        }
-        self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..src.bits() {
-            let (src_row, dst_row) = (src.row(i), dst.row(i));
-            let cells = self.raw_cells_mut();
-            let source = cells.read_row(src_row)?;
-            let mut target = cells.read_row(dst_row)?;
-            for lane in 0..lanes {
-                target.set(lane, source.get(lane + lane_shift));
-            }
-            cells.write_row(dst_row, target)?;
-            self.charge_compute(LANE_MOVE_CYCLES_PER_ROW);
-        }
-        Ok(self.stats() - before)
+/// Tree reduction over `groups` groups of `lanes` lanes (stride `lanes`):
+/// each halving step moves the upper half of every group under its lower
+/// half, then combines. The combine runs on every lane (SIMD); lanes past
+/// the live half compute garbage that is never read again.
+pub(super) fn tree<S: MicroOps + ?Sized>(
+    s: &mut S,
+    value: Operand,
+    scratch: Operand,
+    lanes: usize,
+    groups: usize,
+    mut combine: impl FnMut(&mut S, Operand, Operand) -> Result<()>,
+) -> Result<CycleStats> {
+    if !lanes.is_power_of_two() || lanes * groups > COLS {
+        return Err(SramError::NonPowerOfTwoLanes { lanes });
     }
-
-    /// Tree-sum reduction of `lanes` values held in `value` (one per lane)
-    /// into lane 0's `value` region, using `scratch` as the second reduction
-    /// operand of Figure 10(b).
-    ///
-    /// `lanes` must be a power of two (the mapping pads channels with zeros
-    /// to the next power of two, Section IV-A). Values wrap modulo
-    /// 2^`value.bits()`; size the region for the worst-case sum (the paper
-    /// reserves 4-byte segments).
-    ///
-    /// Cycle count: `log2(lanes) * (2*w + w)` where `w = value.bits()` —
-    /// each step is one lane move plus one region addition.
-    ///
-    /// # Errors
-    ///
-    /// Fails unless `lanes` is a power of two within the array, regions are
-    /// disjoint and of equal width.
-    pub fn reduce_sum(
-        &mut self,
-        value: Operand,
-        scratch: Operand,
-        lanes: usize,
-    ) -> Result<CycleStats> {
-        self.reduce_with(value, scratch, lanes, |arr, acc, x| {
-            arr.add_assign(acc, x).map(|_| ())
-        })
+    if value.bits() != scratch.bits() {
+        return Err(SramError::DestinationTooNarrow {
+            needed: value.bits(),
+            available: scratch.bits(),
+        });
     }
-
-    /// Tree-max reduction: leaves the maximum of `lanes` unsigned values in
-    /// lane 0's `value` region. Requires an extra scratch region and dump
-    /// row for the comparison (see [`ComputeArray::max_assign`]).
-    ///
-    /// # Errors
-    ///
-    /// Same constraints as [`ComputeArray::reduce_sum`] plus the comparison
-    /// constraints.
-    pub fn reduce_max(
-        &mut self,
-        value: Operand,
-        scratch: Operand,
-        cmp_scratch: Operand,
-        dump_row: usize,
-        lanes: usize,
-    ) -> Result<CycleStats> {
-        self.reduce_with(value, scratch, lanes, |arr, acc, x| {
-            arr.max_assign(acc, x, cmp_scratch, dump_row).map(|_| ())
-        })
+    if value.overlaps(&scratch) {
+        return Err(SramError::OverlappingOperands {
+            what: "reduction value and scratch regions overlap",
+        });
     }
-
-    /// Tree-min reduction: leaves the minimum of `lanes` unsigned values in
-    /// lane 0's `value` region.
-    ///
-    /// # Errors
-    ///
-    /// Same constraints as [`ComputeArray::reduce_max`].
-    pub fn reduce_min(
-        &mut self,
-        value: Operand,
-        scratch: Operand,
-        cmp_scratch: Operand,
-        dump_row: usize,
-        lanes: usize,
-    ) -> Result<CycleStats> {
-        self.reduce_with(value, scratch, lanes, |arr, acc, x| {
-            arr.min_assign(acc, x, cmp_scratch, dump_row).map(|_| ())
-        })
+    let before = s.stats();
+    let mut stride = lanes / 2;
+    while stride >= 1 {
+        s.move_lanes_grouped(value, scratch, stride, stride, lanes, groups)?;
+        combine(s, value, scratch)?;
+        stride /= 2;
     }
-
-    /// Grouped lane move: within each of `groups` lane groups of stride
-    /// `group_stride`, copies `src` from lane `base + l + lane_shift` to
-    /// `dst` on lane `base + l` for `l < lanes_per_group`. All groups move
-    /// in parallel (same relative column-mux pattern), so the cost equals a
-    /// single [`ComputeArray::move_lanes`].
-    ///
-    /// # Errors
-    ///
-    /// Same constraints as `move_lanes`, per group.
-    pub fn move_lanes_grouped(
-        &mut self,
-        src: Operand,
-        dst: Operand,
-        lane_shift: usize,
-        lanes_per_group: usize,
-        group_stride: usize,
-        groups: usize,
-    ) -> Result<CycleStats> {
-        if src.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: src.bits(),
-                available: dst.bits(),
-            });
-        }
-        if groups == 0
-            || lanes_per_group == 0
-            || lanes_per_group + lane_shift > group_stride
-            || groups * group_stride > COLS
-        {
-            return Err(SramError::ColOutOfRange {
-                col: groups * group_stride,
-            });
-        }
-        if src.overlaps(&dst) {
-            return Err(SramError::OverlappingOperands {
-                what: "lane-move source and destination share rows",
-            });
-        }
-        self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..src.bits() {
-            let (src_row, dst_row) = (src.row(i), dst.row(i));
-            let cells = self.raw_cells_mut();
-            let source = cells.read_row(src_row)?;
-            let mut target = cells.read_row(dst_row)?;
-            for g in 0..groups {
-                let base = g * group_stride;
-                for lane in 0..lanes_per_group {
-                    target.set(base + lane, source.get(base + lane + lane_shift));
-                }
-            }
-            cells.write_row(dst_row, target)?;
-            self.charge_compute(LANE_MOVE_CYCLES_PER_ROW);
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Grouped tree-sum reduction: `groups` independent lane groups of
-    /// `group_lanes` lanes each (stride `group_lanes`) reduce
-    /// simultaneously; group `g`'s sum lands on lane `g * group_lanes`.
-    /// This is how one 8KB array reduces the channels of several packed
-    /// filters at once (Figure 9: M5 and M6 share an array).
-    ///
-    /// # Errors
-    ///
-    /// Same constraints as [`ComputeArray::reduce_sum`].
-    pub fn reduce_sum_grouped(
-        &mut self,
-        value: Operand,
-        scratch: Operand,
-        group_lanes: usize,
-        groups: usize,
-    ) -> Result<CycleStats> {
-        if !group_lanes.is_power_of_two() || group_lanes * groups > COLS {
-            return Err(SramError::NonPowerOfTwoLanes { lanes: group_lanes });
-        }
-        if value.bits() != scratch.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: value.bits(),
-                available: scratch.bits(),
-            });
-        }
-        if value.overlaps(&scratch) {
-            return Err(SramError::OverlappingOperands {
-                what: "reduction value and scratch regions overlap",
-            });
-        }
-        let before = self.stats();
-        let mut stride = group_lanes / 2;
-        while stride >= 1 {
-            self.move_lanes_grouped(value, scratch, stride, stride, group_lanes, groups)?;
-            self.add_assign(value, scratch)?;
-            stride /= 2;
-        }
-        Ok(self.stats() - before)
-    }
-
-    fn reduce_with(
-        &mut self,
-        value: Operand,
-        scratch: Operand,
-        lanes: usize,
-        mut combine: impl FnMut(&mut ComputeArray, Operand, Operand) -> Result<()>,
-    ) -> Result<CycleStats> {
-        if !lanes.is_power_of_two() || lanes > COLS {
-            return Err(SramError::NonPowerOfTwoLanes { lanes });
-        }
-        if value.bits() != scratch.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: value.bits(),
-                available: scratch.bits(),
-            });
-        }
-        if value.overlaps(&scratch) {
-            return Err(SramError::OverlappingOperands {
-                what: "reduction value and scratch regions overlap",
-            });
-        }
-        // Post-validation invariants every reduction step relies on.
-        debug_assert!(
-            !value.overlaps(&scratch),
-            "reduction operands alias: {value} vs {scratch}"
-        );
-        debug_assert!(
-            value.rows().end <= crate::ROWS && scratch.rows().end <= crate::ROWS,
-            "reduction operands out of bounds: {value}, {scratch}"
-        );
-        let before = self.stats();
-        let mut stride = lanes / 2;
-        while stride >= 1 {
-            // Move the upper half's values under the lower half...
-            self.move_lanes(value, scratch, stride, stride)?;
-            // ...and combine. The combine step runs on every lane (SIMD);
-            // lanes >= stride compute garbage that is never read again.
-            combine(self, value, scratch)?;
-            stride /= 2;
-        }
-        Ok(self.stats() - before)
-    }
+    Ok(s.stats() - before)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{ComputeArray, MicroOps, Operand, SramError, COLS};
 
     fn arr() -> ComputeArray {
         ComputeArray::with_zero_row(255).unwrap()

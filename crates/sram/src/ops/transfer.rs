@@ -6,14 +6,15 @@
 //! general case rides the intra-slice bus and is charged by the geometry
 //! model on top of the per-array access cycles counted here.
 
-use crate::{ComputeArray, CycleStats, Operand, Result, SramError, COLS};
+use super::MicroOps;
+use crate::{CycleStats, Operand, Result, SramError, COLS};
 
 /// Copies `lanes` lanes' worth of `src_op` in `src` into `dst_op` of `dst`,
 /// lane `l` to lane `l` (optionally shifted by `dst_lane_offset`).
 ///
 /// Charges one access cycle per row on the source (read-out) and one on the
 /// destination (write-in); interconnect time/energy is accounted by the
-/// caller's transfer model.
+/// caller's transfer model. Either side may be any [`MicroOps`] sink.
 ///
 /// # Errors
 ///
@@ -32,10 +33,10 @@ use crate::{ComputeArray, CycleStats, Operand, Result, SramError, COLS};
 /// assert_eq!(b.peek_lane(3, op), 42);
 /// # Ok::<(), nc_sram::SramError>(())
 /// ```
-pub fn copy_lanes_between(
-    src: &mut ComputeArray,
+pub fn copy_lanes_between<S: MicroOps + ?Sized, D: MicroOps + ?Sized>(
+    src: &mut S,
     src_op: Operand,
-    dst: &mut ComputeArray,
+    dst: &mut D,
     dst_op: Operand,
     dst_lane_offset: usize,
     lanes: usize,
@@ -51,17 +52,10 @@ pub fn copy_lanes_between(
             col: dst_lane_offset + lanes,
         });
     }
-    dst.guard_zero_row(&dst_op)?;
     let before = src.stats() + dst.stats();
     for i in 0..src_op.bits() {
         let row = src.access_read_row(src_op.row(i))?;
-        let dst_row_idx = dst_op.row(i);
-        let mut target = dst.raw_cells_mut().read_row(dst_row_idx)?;
-        for lane in 0..lanes {
-            target.set(dst_lane_offset + lane, row.get(lane));
-        }
-        dst.raw_cells_mut().write_row(dst_row_idx, target)?;
-        dst.charge_access(1);
+        dst.access_write_lanes(dst_op.row(i), &row, dst_lane_offset, lanes)?;
     }
     Ok((src.stats() + dst.stats()) - before)
 }
@@ -69,6 +63,7 @@ pub fn copy_lanes_between(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ComputeArray, Operand};
 
     #[test]
     fn transfer_moves_lanes_and_counts_access_cycles() {

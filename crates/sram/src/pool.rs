@@ -255,7 +255,7 @@ impl Drop for PooledArray<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Operand;
+    use crate::{MicroOps, Operand};
 
     #[test]
     fn recycles_instead_of_reallocating() {

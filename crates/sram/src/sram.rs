@@ -49,6 +49,7 @@ impl SramArray {
     /// # Errors
     ///
     /// Returns [`SramError::RowOutOfRange`] for rows past the array.
+    #[inline]
     pub fn read_row(&self, row: usize) -> Result<BitRow> {
         self.check_row(row)?;
         Ok(self.rows[row])
@@ -59,6 +60,7 @@ impl SramArray {
     /// # Errors
     ///
     /// Returns [`SramError::RowOutOfRange`] for rows past the array.
+    #[inline]
     pub fn write_row(&mut self, row: usize, value: BitRow) -> Result<()> {
         self.check_row(row)?;
         self.rows[row] = value;
@@ -80,6 +82,7 @@ impl SramArray {
     ///
     /// Returns [`SramError::SelfActivation`] when `a == b` and
     /// [`SramError::RowOutOfRange`] for rows past the array.
+    #[inline]
     pub fn sense(&self, a: usize, b: usize) -> Result<SenseOut> {
         self.check_row(a)?;
         self.check_row(b)?;
@@ -98,6 +101,7 @@ impl SramArray {
     /// # Errors
     ///
     /// Returns an error if the row or column is out of range.
+    #[inline]
     pub fn get(&self, row: usize, col: usize) -> Result<bool> {
         self.check_row(row)?;
         if col >= COLS {
@@ -111,6 +115,7 @@ impl SramArray {
     /// # Errors
     ///
     /// Returns an error if the row or column is out of range.
+    #[inline]
     pub fn set(&mut self, row: usize, col: usize, bit: bool) -> Result<()> {
         self.check_row(row)?;
         if col >= COLS {
@@ -120,6 +125,7 @@ impl SramArray {
         Ok(())
     }
 
+    #[inline]
     fn check_row(&self, row: usize) -> Result<()> {
         if row >= ROWS {
             return Err(SramError::RowOutOfRange { row });

@@ -19,21 +19,21 @@ pub struct CycleStats {
     /// Number of conventional access cycles executed.
     pub access_cycles: u64,
     /// Multiplier-bit rounds scheduled by vector multiplications (one per
-    /// multiplier bit per [`crate::ComputeArray::mul`]-family call).
+    /// multiplier bit per [`crate::MicroOps::mul`]-family call).
     pub mul_rounds: u64,
     /// Multiplier-bit rounds elided because the **weight** bit-slice row
-    /// was zero on every lane ([`crate::ComputeArray::mul_skip_zero_rows`]);
+    /// was zero on every lane ([`crate::MicroOps::mul_skip_zero_rows`]);
     /// always `<= mul_rounds`, and 0 under dense execution.
     pub skipped_rounds: u64,
     /// Compute cycles the dense round schedule would have spent on work
     /// that was elided — whole skipped rounds (weight- or input-side) plus
     /// the add-chain cycles truncated by
-    /// [`crate::ComputeArray::mul_skip_both`]. **Not** included in
+    /// [`crate::MicroOps::mul_skip_both`]. **Not** included in
     /// `compute_cycles`, which only counts cycles actually executed.
     pub skipped_cycles: u64,
     /// Tag-latch wired-NOR zero-detect cycles spent probing dynamic
     /// (input) multiplier bit-slices — one per scheduled round of the
-    /// [`crate::ComputeArray::mul_skip_zero_input_bits`] family. These are
+    /// [`crate::MicroOps::mul_skip_zero_input_bits`] family. These are
     /// real executed cycles (also counted in `compute_cycles`): the dense
     /// schedule never pays them, so they offset the input-skip savings.
     pub detect_cycles: u64,

@@ -7,11 +7,41 @@
 // through iterators or `checked_div`.
 #![allow(clippy::needless_range_loop, clippy::manual_checked_ops)]
 
-use nc_sram::{ComputeArray, Operand, Predicate, COLS};
+use nc_sram::{ComputeArray, CycleStats, MicroOps, Operand, Predicate, Result, Schedule, COLS};
 use proptest::prelude::*;
 
 fn arr() -> ComputeArray {
     ComputeArray::with_zero_row(255).unwrap()
+}
+
+/// Runs `op` on an array holding `data`, and on a recorder told only which
+/// rows of that data are all-zero (derived from the lane values, not read
+/// back from the array). Returns the executed and the recorded counters.
+fn executed_and_recorded(
+    data: &[(Operand, Vec<u64>)],
+    op: impl Fn(&mut dyn MicroOps) -> Result<CycleStats>,
+) -> (CycleStats, CycleStats) {
+    let mut array = arr();
+    let mut recorder = Schedule::with_zero_row(255);
+    for (operand, values) in data {
+        for (lane, &v) in values.iter().enumerate() {
+            array.poke_lane(lane, *operand, v);
+        }
+        for i in 0..operand.bits() {
+            if values.iter().all(|v| (v >> i) & 1 == 0) {
+                recorder.assume_zero(operand.row(i));
+            }
+        }
+    }
+    let executed = op(&mut array).unwrap();
+    let recorded = op(&mut recorder).unwrap();
+    assert_eq!(
+        recorder.stats(),
+        recorded,
+        "the delta is the whole schedule"
+    );
+    assert_eq!(recorder.steps.len() as u64, recorded.total_cycles());
+    (executed, recorded)
 }
 
 /// Strategy for a vector of `n`-bit lane values occupying all 256 lanes.
@@ -231,5 +261,57 @@ proptest! {
         for lane in 0..COLS {
             prop_assert_eq!(arr.tag().get(lane), values[lane] == needle);
         }
+    }
+
+    /// The recorder reports exactly the executed counters — all seven —
+    /// for every op whose control flow depends on data, given the all-zero
+    /// rows of randomly placed, randomly sparse lane data.
+    #[test]
+    fn recorder_reports_the_executed_counters(
+        n in 1usize..=8,
+        m in 1usize..=8,
+        base in 0usize..64,
+        gap in 0usize..8,
+        a in lanes(8),
+        b in lanes(8),
+        a_mask in 0u64..256,
+        b_mask in 0u64..256,
+        k in 0u64..65536,
+        group_pow in 0usize..=8,
+        width in 1usize..=32,
+    ) {
+        let va = Operand::new(base, n).unwrap();
+        let vb = Operand::new(base + n + gap, m).unwrap();
+        let prod = Operand::new(base + n + m + 2 * gap, n + m + 16).unwrap();
+        let a: Vec<u64> = a.iter().map(|v| v & a_mask & ((1 << n) - 1)).collect();
+        let b: Vec<u64> = b.iter().map(|v| v & b_mask & ((1 << m) - 1)).collect();
+        let data = [(va, a.clone()), (vb, b)];
+        for variant in 0..4 {
+            let (executed, recorded) = executed_and_recorded(&data, |s| match variant {
+                0 => s.mul(va, vb, prod),
+                1 => s.mul_skip_zero_rows(va, vb, prod),
+                2 => s.mul_skip_zero_input_bits(va, vb, prod),
+                _ => s.mul_skip_both(va, vb, prod),
+            });
+            prop_assert_eq!(executed, recorded, "multiply variant {}", variant);
+        }
+        let (executed, recorded) = executed_and_recorded(&data, |s| s.mul_scalar(va, k, prod));
+        prop_assert_eq!(executed, recorded);
+
+        let x = Operand::new(prod.rows().end, n).unwrap();
+        let scratch = Operand::new(x.rows().end + gap, n).unwrap();
+        let data = [(va, a), (x, data[1].1.iter().map(|v| v & ((1 << n) - 1)).collect())];
+        let (executed, recorded) =
+            executed_and_recorded(&data, |s| s.max_assign(va, x, scratch, 250));
+        prop_assert_eq!(executed, recorded);
+
+        let group_lanes = 1usize << group_pow;
+        let groups = COLS / group_lanes;
+        let value = Operand::new(base, width).unwrap();
+        let scratch = Operand::new(base + width + gap, width).unwrap();
+        let (executed, recorded) = executed_and_recorded(&[], |s| {
+            s.reduce_sum_grouped(value, scratch, group_lanes, groups)
+        });
+        prop_assert_eq!(executed, recorded);
     }
 }

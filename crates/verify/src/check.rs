@@ -1,18 +1,16 @@
-//! Hazard checks over schedules, operand layouts, and planned mappings,
-//! plus the static ↔ analytical legs of the cycle reconciliation.
+//! Hazard checks over recorded schedules, operand layouts, and planned
+//! mappings, plus the static ↔ analytical leg of the cycle reconciliation.
 //!
 //! Every check returns structured [`Diagnostic`]s; an empty vector means
 //! the artifact is provably hazard-free under the modeled port semantics.
 
-use nc_sram::{COLS, ROWS};
+use nc_sram::{Schedule, StepKind, COLS, ROWS};
 use neural_cache::cost::{CostModel, DerivedCostModel, DATA_BITS};
 use neural_cache::layout::{self, NamedOperand, DUMP_ROW, ZERO_ROW};
 use neural_cache::mapping::ConvMapping;
 use neural_cache::{LaneGeometry, SparsityMode};
 
 use crate::diag::{Diagnostic, ErrorCode};
-use crate::extract;
-use crate::ir::{Schedule, StepKind};
 
 /// Word-line port budgets of one compute cycle (Section III: two-row
 /// activation with a single write-back driver).
@@ -20,7 +18,7 @@ pub const READ_PORTS: usize = 2;
 /// Write word lines one compute cycle may drive.
 pub const WRITE_PORTS: usize = 1;
 
-/// Checks one extracted schedule for per-cycle port hazards: out-of-bounds
+/// Checks one recorded schedule for per-cycle port hazards: out-of-bounds
 /// word lines (V002), read-port overflow or duplicate sensing (V003),
 /// write-port overflow (V004), and zero-row clobbering (V005).
 #[must_use]
@@ -230,150 +228,57 @@ pub fn check_row_budget(label: &str, mapping: &ConvMapping) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// Static MAC-tap schedules and the static <-> analytical reconciliation.
+// Recorded MAC-tap schedules and the static <-> analytical reconciliation.
 // ---------------------------------------------------------------------
 
-/// The executor's per-tap MAC schedule (one filter/input byte pair:
-/// multiply into the 16-bit scratch, accumulate into the 24-bit partial,
-/// track the input sum) under `mode`, parameterized by the control-FSM
-/// facts: per-round elision flags and the live weight-bit count.
+/// The executor's per-tap MAC schedule under `mode`
+/// ([`layout::MacReduceLayout::mac_tap`]), recorded with the control-FSM
+/// facts: `zero_rounds[j]` says multiplier bit-slice `j` is all-zero, and
+/// multiplicand bit-slices from `live_bits` up are all-zero.
+///
+/// # Panics
+///
+/// Panics if the shipped layout rejects the tap (a layout bug).
 #[must_use]
 pub fn mac_tap_schedule(mode: SparsityMode, zero_rounds: &[bool], live_bits: usize) -> Schedule {
     let l = layout::MacReduceLayout::new();
-    let mut s = match mode {
-        SparsityMode::Dense => extract::mul(l.input_byte, l.filter_byte, l.scratch16),
-        SparsityMode::SkipZeroRows => {
-            extract::mul_skip_zero_rows(l.input_byte, l.filter_byte, l.scratch16, zero_rounds)
-        }
-        SparsityMode::SkipZeroInputs => {
-            extract::mul_skip_zero_input_bits(l.filter_byte, l.input_byte, l.scratch16, zero_rounds)
-        }
-        SparsityMode::SkipBoth => extract::mul_skip_both(
-            l.filter_byte,
-            l.input_byte,
-            l.scratch16,
-            zero_rounds,
-            live_bits,
-        ),
-    };
-    s.extend(extract::add_assign(l.partial, l.scratch16));
-    s.extend(extract::add_assign(l.s2sum, l.input_byte));
+    let (multiplicand, multiplier) = l.mul_roles(mode);
+    let mut s = Schedule::with_zero_row(ZERO_ROW);
+    for (j, _) in zero_rounds.iter().enumerate().filter(|(_, &zero)| zero) {
+        s.assume_zero(multiplier.row(j));
+    }
+    for i in live_bits..multiplicand.bits() {
+        s.assume_zero(multiplicand.row(i));
+    }
+    l.mac_tap(&mut s, mode)
+        .expect("the MAC layout admits the tap");
     s
 }
 
-/// The post-MAC reduction schedule of one array (segment widening plus the
-/// grouped channel-reduction trees).
+/// The post-MAC schedule of one array: segment widening plus the grouped
+/// channel-reduction trees ([`layout::MacReduceLayout::widen_and_reduce`]).
+///
+/// # Panics
+///
+/// Panics if `group_span` is not a power of two within the array; check
+/// the lane geometry first.
 #[must_use]
 pub fn reduce_schedule(group_span: usize) -> Schedule {
-    let l = layout::MacReduceLayout::new();
-    let mut s = extract::copy_zext(l.partial, l.seg_a);
-    s.extend(extract::copy_zext(l.s2sum, l.s2_a));
-    s.extend(extract::reduce_sum_grouped(l.seg_a, l.seg_b, group_span));
-    s.extend(extract::reduce_sum_grouped(l.s2_a, l.s2_b, group_span));
+    let mut s = Schedule::with_zero_row(ZERO_ROW);
+    layout::MacReduceLayout::new()
+        .widen_and_reduce(&mut s, group_span, 1)
+        .expect("a power-of-two span reduces");
     s
 }
 
-/// Schedule-derived tap constants: the dense per-tap MAC cycles and the
-/// per-round cycle cost, measured from the extracted schedules themselves
-/// (never restated as literals).
-#[must_use]
-pub fn schedule_tap_constants() -> (u64, u64) {
-    let all_live = [false; DATA_BITS];
-    let dense = mac_tap_schedule(SparsityMode::Dense, &all_live, DATA_BITS).compute_cycles();
-    let mut one_skip = [false; DATA_BITS];
-    one_skip[0] = true;
-    let skipped =
-        mac_tap_schedule(SparsityMode::SkipZeroRows, &one_skip, DATA_BITS).compute_cycles();
-    (dense, dense - skipped)
-}
-
-/// Static per-tap MAC cycles at fractional skip/live parameters, evaluated
-/// with the **identical** floating-point expression order the analytical
-/// [`CostModel`] uses, so agreement is exact rather than approximate. The
-/// integer anchor points (`k/8` skips, integer live bits) coincide with
-/// the extracted schedules by construction — `schedule_constants_match_*`
-/// tests prove it.
-#[must_use]
-pub fn static_mac_tap(dense_tap: u64, round: u64, c: &ConvMapping) -> f64 {
-    let rounds = DATA_BITS as f64;
-    let dense = dense_tap as f64;
-    let round = round as f64;
-    if c.dynamic_detect {
-        let live = c.live_mult_bits.clamp(0.0, rounds);
-        let exec_round = round - (rounds - live);
-        let base = dense - rounds * round;
-        let detect = rounds;
-        (base + detect + (1.0 - c.input_skip_fraction.clamp(0.0, 1.0)) * rounds * exec_round)
-            .clamp(0.0, dense + detect)
-    } else {
-        let saved = c.simd_skip_fraction.clamp(0.0, 1.0) * rounds * round;
-        (dense - saved).clamp(0.0, dense)
-    }
-}
-
-/// The analytical per-tap MAC cycles of the cost model under the mapping's
-/// sparsity parameters — the exact expression `timing::conv_cycles`
-/// charges per serial MAC.
-#[must_use]
-pub fn analytical_mac_tap(cost: &dyn CostModel, c: &ConvMapping) -> f64 {
-    if c.dynamic_detect {
-        cost.mac_cycles_dynamic(c.input_skip_fraction, c.live_mult_bits)
-    } else {
-        cost.mac_cycles_sparse(c.simd_skip_fraction)
-    }
-}
-
-/// Reconciles one planned convolution's static MAC schedule against the
-/// derived analytical cost model (V009), at the layer's full serial-MAC
-/// scale with the same rounding `timing::conv_cycles` applies.
-#[must_use]
-pub fn check_conv_reconciliation(label: &str, c: &ConvMapping) -> Vec<Diagnostic> {
-    let cost = &DerivedCostModel;
-    let (dense_tap, round) = schedule_tap_constants();
-    let serial_macs = (c.rounds * c.eff_window) as u64;
-    let static_mac = (serial_macs as f64 * static_mac_tap(dense_tap, round, c)).round() as u64;
-    let analytical_mac = (serial_macs as f64 * analytical_mac_tap(cost, c)).round() as u64;
-    if static_mac == analytical_mac {
-        return Vec::new();
-    }
-    vec![Diagnostic::new(
-        ErrorCode::CycleMismatchAnalytical,
-        label,
-        format!(
-            "static schedule prices {serial_macs} serial MACs at {static_mac} cycles; \
-             the {} cost model prices them at {analytical_mac}",
-            cost.name()
-        ),
-    )]
-}
-
-/// Proves the derived cost model's constants equal the extracted schedules
-/// at every integer skip/live anchor point (V009 on any disagreement).
+/// Proves the cost model's sparse and dynamic MAC formulas
+/// (`mac_cycles_sparse`, `mac_cycles_dynamic`) equal the recorded tap
+/// schedules at every integer skip/live anchor point (V009 on any
+/// disagreement).
 #[must_use]
 pub fn check_cost_model() -> Vec<Diagnostic> {
     let cost = &DerivedCostModel;
     let mut out = Vec::new();
-    let (dense_tap, round) = schedule_tap_constants();
-    if dense_tap != cost.mac_cycles() {
-        out.push(Diagnostic::new(
-            ErrorCode::CycleMismatchAnalytical,
-            "mac_tap/dense",
-            format!(
-                "static dense tap is {dense_tap} cycles; cost model says {}",
-                cost.mac_cycles()
-            ),
-        ));
-    }
-    if round != cost.mul_round_cycles() {
-        out.push(Diagnostic::new(
-            ErrorCode::CycleMismatchAnalytical,
-            "mac_tap/round",
-            format!(
-                "static round cost is {round} cycles; cost model says {}",
-                cost.mul_round_cycles()
-            ),
-        ));
-    }
     for k in 0..=DATA_BITS {
         let mut flags = [false; DATA_BITS];
         for f in flags.iter_mut().take(k) {
@@ -429,7 +334,7 @@ pub fn check_cost_model() -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nc_sram::Operand;
+    use nc_sram::{MicroOps, Operand, Predicate};
 
     fn op(base: usize, bits: usize) -> Operand {
         Operand::new(base, bits).unwrap()
@@ -437,21 +342,24 @@ mod tests {
 
     #[test]
     fn clean_schedules_produce_no_diagnostics() {
-        let (a, b, dst) = (op(0, 8), op(8, 8), op(16, 9));
-        assert!(check_schedule("add", &extract::add(a, b, dst)).is_empty());
-        let prod = op(32, 16);
-        assert!(check_schedule("mul", &extract::mul(a, b, prod)).is_empty());
-        let flags = [true, false, true, false, true, false, true, false];
-        assert!(
-            check_schedule("mul_skip", &extract::mul_skip_both(a, b, prod, &flags, 5)).is_empty()
-        );
+        let (a, b, dst, prod) = (op(0, 8), op(8, 8), op(16, 9), op(32, 16));
+        let mut s = Schedule::with_zero_row(ZERO_ROW);
+        s.add(a, b, dst).unwrap();
+        s.mul(a, b, prod).unwrap();
+        for j in [0, 2, 4, 6] {
+            s.assume_zero(b.row(j));
+        }
+        s.mul_skip_both(a, b, prod).unwrap();
+        assert!(check_schedule("ops", &s).is_empty());
     }
 
     #[test]
     fn duplicate_sense_is_a_read_port_overflow() {
-        // add with b aliasing a senses row i twice in one cycle.
-        let a = op(0, 8);
-        let s = extract::add(a, a, op(16, 8));
+        // A full add sensing row i against itself.
+        let mut s = Schedule::new();
+        for i in 0..8 {
+            s.op_full_add(i, i, 16 + i, Predicate::Always).unwrap();
+        }
         let diags = check_schedule("alias", &s);
         assert_eq!(diags.len(), 8);
         assert!(diags.iter().all(|d| d.code == ErrorCode::ReadPortOverflow));
@@ -460,7 +368,7 @@ mod tests {
     #[test]
     fn out_of_bounds_rows_are_flagged() {
         let mut s = Schedule::new();
-        s.sense1(ROWS, 0, "op_copy");
+        s.op_copy(ROWS, 0, Predicate::Always).unwrap();
         let diags = check_schedule("oob", &s);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, ErrorCode::RowOutOfBounds);
@@ -470,7 +378,8 @@ mod tests {
     #[test]
     fn zero_row_writes_are_flagged() {
         let mut s = Schedule::new();
-        s.write_only(ZERO_ROW, "op_write_const");
+        s.op_write_const(ZERO_ROW, false, Predicate::Always)
+            .unwrap();
         let diags = check_schedule("clobber", &s);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, ErrorCode::ZeroRowClobbered);
@@ -502,11 +411,10 @@ mod tests {
     }
 
     #[test]
-    fn schedule_constants_match_the_derived_cost_model() {
+    fn cost_model_formulas_match_the_recorded_taps() {
         assert_eq!(check_cost_model(), Vec::new());
-        let (dense, round) = schedule_tap_constants();
-        assert_eq!(dense, 136);
-        assert_eq!(round, 10);
+        let dense = mac_tap_schedule(SparsityMode::Dense, &[], DATA_BITS);
+        assert_eq!(dense.compute_cycles(), DerivedCostModel.mac_cycles());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example bitserial_playground`
 
-use neural_cache_repro::sram::{ComputeArray, Operand, COLS};
+use neural_cache_repro::sram::{ComputeArray, MicroOps, Operand, COLS};
 
 fn main() {
     let mut arr = ComputeArray::with_zero_row(255).expect("reserve zero row");
