@@ -38,6 +38,7 @@
     clippy::similar_names
 )]
 
+use nc_dnn::walk::Unit;
 use nc_dnn::{Layer, Model};
 use nc_geometry::SimTime;
 
@@ -202,42 +203,21 @@ impl Baseline {
     }
 }
 
-/// Multiply-accumulate volume of one layer (pools weighted by their cheap
-/// window compares).
+/// Multiply-accumulate volume of one layer (standalone pools weighted by
+/// their cheap window compares; pools inside a mixed block are free).
 fn layer_macs(layer: &Layer, input: nc_dnn::Shape) -> f64 {
-    match layer {
-        Layer::Pool(pool) => {
-            let out = pool.out_shape(input);
+    layer
+        .units(input)
+        .into_iter()
+        .map(|unit| match unit {
+            Unit::Conv { conv, output, .. } => (output.len() * conv.spec.macs_per_output()) as f64,
             // Pool comparisons are ~10x cheaper than MACs on both platforms.
-            (out.len() * pool.k * pool.k) as f64 * 0.1
-        }
-        _ => {
-            let mut macs = 0.0;
-            if let Layer::Mixed(block) = layer {
-                for branch in &block.branches {
-                    let mut cur = input;
-                    for op in &branch.ops {
-                        if let nc_dnn::BranchOp::Conv(c) = op {
-                            let out = c.spec.out_shape(cur);
-                            macs += (out.len() * c.spec.macs_per_output()) as f64;
-                            cur = out;
-                        } else if let nc_dnn::BranchOp::Split(convs) = op {
-                            for c in convs {
-                                let out = c.spec.out_shape(cur);
-                                macs += (out.len() * c.spec.macs_per_output()) as f64;
-                            }
-                        } else if let nc_dnn::BranchOp::Pool(p) = op {
-                            cur = p.out_shape(cur);
-                        }
-                    }
-                }
-            } else if let Layer::Conv(c) = layer {
-                let out = c.spec.out_shape(input);
-                macs += (out.len() * c.spec.macs_per_output()) as f64;
+            Unit::Pool { pool, output, .. } if matches!(layer, Layer::Pool(_)) => {
+                (output.len() * pool.k * pool.k) as f64 * 0.1
             }
-            macs
-        }
-    }
+            Unit::Pool { .. } => 0.0,
+        })
+        .sum()
 }
 
 #[cfg(test)]

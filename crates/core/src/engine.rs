@@ -196,19 +196,19 @@ impl ExecutionEngine {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        // Runs job `i` on worker `w`, timing it when observed.
+        let timed = |i: usize, w: usize| match observer {
+            None => job(i),
+            Some(obs) => {
+                let started = Instant::now();
+                let out = job(i);
+                obs.record(i, w, started, Instant::now());
+                out
+            }
+        };
         let workers = self.threads().min(jobs);
         if workers <= 1 {
-            return (0..jobs)
-                .map(|i| match observer {
-                    None => job(i),
-                    Some(obs) => {
-                        let started = Instant::now();
-                        let out = job(i);
-                        obs.record(i, 0, started, Instant::now());
-                        out
-                    }
-                })
-                .collect();
+            return (0..jobs).map(|i| timed(i, 0)).collect();
         }
 
         let next = AtomicUsize::new(0);
@@ -221,7 +221,7 @@ impl ExecutionEngine {
                 .map(|w| {
                     let in_flight = &in_flight[w];
                     let next = &next;
-                    let job = &job;
+                    let timed = &timed;
                     scope.spawn(move || {
                         let mut local = Vec::new();
                         loop {
@@ -230,15 +230,7 @@ impl ExecutionEngine {
                                 break;
                             }
                             in_flight.store(i, Ordering::Release);
-                            match observer {
-                                None => local.push((i, job(i))),
-                                Some(obs) => {
-                                    let started = Instant::now();
-                                    let out = job(i);
-                                    obs.record(i, w, started, Instant::now());
-                                    local.push((i, out));
-                                }
-                            }
+                            local.push((i, timed(i, w)));
                         }
                         in_flight.store(usize::MAX, Ordering::Release);
                         local

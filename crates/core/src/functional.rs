@@ -38,15 +38,23 @@
 //! *and* identical cycle counts. The only synchronization point is the
 //! explicit inter-array reduce barrier before dynamic ranging
 //! (Section IV-D), which needs every shard's accumulators.
+//!
+//! ## Sequencing
+//!
+//! The executor implements only the leaf passes (convolution, own-range
+//! requantization, pooling, and the block-wide join of a mixed block) as an
+//! [`nc_dnn::walk::Passes`]; [`nc_dnn::walk::walk_layer`] decides their
+//! order. The `nc-verify` shard graph and value-range analysis implement
+//! the same trait, so all three follow one sequencing by construction.
 
 use std::error::Error;
 use std::fmt;
 
 use nc_dnn::quant::{branch_requantizer, conv_requant_plan, shared_out_quant, CodeRequant};
 use nc_dnn::reference::SublayerRecord;
+use nc_dnn::walk::{walk_layer, Passes, Pending};
 use nc_dnn::{
-    pad_before, ActQuant, Branch, BranchOp, Conv2d, Layer, MixedBlock, Model, PoolKind, QTensor,
-    Requantizer, Shape,
+    pad_before, ActQuant, Conv2d, MixedBlock, Model, Pool2d, PoolKind, QTensor, Requantizer, Shape,
 };
 use nc_sram::{ArrayPool, ArrayTimings, ComputeArray, CycleStats, MicroOps, SramError, COLS};
 use nc_telemetry::{Level, Telemetry, TrackId, Value};
@@ -95,6 +103,13 @@ pub enum FunctionalError {
         /// Offending sub-layer.
         name: String,
     },
+    /// The input tensor's shape is not the model's input shape.
+    InputShape {
+        /// The model's input shape.
+        expected: Shape,
+        /// The shape of the tensor passed in.
+        actual: Shape,
+    },
     /// An underlying SRAM operation was rejected.
     Sram(SramError),
 }
@@ -108,6 +123,12 @@ impl fmt::Display for FunctionalError {
                     "sub-layer {name} has no weights; build the model with weights"
                 )
             }
+            FunctionalError::InputShape { expected, actual } => {
+                write!(
+                    f,
+                    "input shape {actual} does not match the model input {expected}"
+                )
+            }
             FunctionalError::Sram(e) => write!(f, "sram operation failed: {e}"),
         }
     }
@@ -117,7 +138,7 @@ impl Error for FunctionalError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             FunctionalError::Sram(e) => Some(e),
-            FunctionalError::MissingWeights { .. } => None,
+            FunctionalError::MissingWeights { .. } | FunctionalError::InputShape { .. } => None,
         }
     }
 }
@@ -135,7 +156,8 @@ type Result<T> = std::result::Result<T, FunctionalError>;
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
+/// Fails if the input shape is not the model's input shape or any
+/// convolution sub-layer lacks weights.
 pub fn run_model(model: &Model, input: &QTensor) -> Result<FunctionalResult> {
     run_model_with(model, input, ExecutionEngine::Sequential)
 }
@@ -146,7 +168,8 @@ pub fn run_model(model: &Model, input: &QTensor) -> Result<FunctionalResult> {
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
+/// Fails if the input shape is not the model's input shape or any
+/// convolution sub-layer lacks weights.
 pub fn run_model_with(
     model: &Model,
     input: &QTensor,
@@ -170,11 +193,8 @@ pub fn run_model_with(
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
-///
-/// # Panics
-///
-/// Panics if the input shape does not match the model's input shape.
+/// Fails if the input shape is not the model's input shape or any
+/// convolution sub-layer lacks weights.
 pub fn run_model_configured(
     model: &Model,
     input: &QTensor,
@@ -211,11 +231,8 @@ pub fn run_model_configured(
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
-///
-/// # Panics
-///
-/// Panics if the input shape does not match the model's input shape.
+/// Fails if the input shape is not the model's input shape or any
+/// convolution sub-layer lacks weights.
 pub fn run_model_traced(
     model: &Model,
     input: &QTensor,
@@ -223,15 +240,18 @@ pub fn run_model_traced(
     mode: SparsityMode,
     tel: &Telemetry,
 ) -> Result<FunctionalResult> {
-    assert_eq!(input.shape(), model.input_shape, "input shape mismatch");
+    if input.shape() != model.input_shape {
+        return Err(FunctionalError::InputShape {
+            expected: model.input_shape,
+            actual: input.shape(),
+        });
+    }
     let mut exec = Exec::new(engine, mode, tel.clone())?;
     let timings = ArrayTimings::default();
     let mut cur = input.clone();
-    let mut sublayers = Vec::new();
     for layer in &model.layers {
         let before = exec.cycles;
-        let out = exec.run_layer(layer, &cur, &mut sublayers)?;
-        cur = out;
+        cur = walk_layer(&mut exec, layer, &cur)?;
         if tel.at(Level::Spans) {
             let start_s = before.seconds(&timings);
             let dur_s = exec.cycles.seconds(&timings) - start_s;
@@ -255,7 +275,7 @@ pub fn run_model_traced(
     exec.report_utilization();
     Ok(FunctionalResult {
         output: cur,
-        sublayers,
+        sublayers: exec.sublayers,
         cycles: exec.cycles,
         pool: PoolEvents {
             acquires: stats.acquires,
@@ -284,6 +304,8 @@ fn cycle_args(delta: CycleStats) -> Vec<(&'static str, Value)> {
 
 struct Exec {
     cycles: CycleStats,
+    /// One record per convolution sub-layer, in execution order.
+    sublayers: Vec<SublayerRecord>,
     engine: ExecutionEngine,
     mode: SparsityMode,
     /// Shared recycling pool: arrays persist across layers and shard jobs
@@ -300,12 +322,6 @@ struct Exec {
     observer: Option<ShardObserver>,
 }
 
-/// A branch's final output awaiting the block-shared range.
-enum Pending {
-    Acc(AccChunk, f64, String),
-    Codes(QTensor),
-}
-
 /// Host-side staging of a sub-layer's in-cache accumulators between passes,
 /// with the layer range already computed by the in-cache min/max trees.
 struct AccChunk {
@@ -313,12 +329,10 @@ struct AccChunk {
     values: Vec<i64>,
     min: i64,
     max: i64,
-}
-
-impl AccChunk {
-    fn min_max(&self) -> (i64, i64) {
-        (self.min, self.max)
-    }
+    /// Real value of one accumulator unit (weight scale × input scale).
+    scale: f64,
+    /// Index of the sub-layer's record in [`Exec::sublayers`].
+    record: usize,
 }
 
 impl Exec {
@@ -336,6 +350,7 @@ impl Exec {
         let op_track = tel.track("functional", "ops");
         Ok(Exec {
             cycles: CycleStats::new(),
+            sublayers: Vec::new(),
             engine,
             mode,
             pool: ArrayPool::with_zero_row(ZERO_ROW)?,
@@ -348,7 +363,7 @@ impl Exec {
 
     /// Emits a [`Level::Detail`] `functional.op` span covering the cycles
     /// accumulated since `before` (the in-cache pass that just folded). Op
-    /// spans partition the run's cycle totals: every fold site emits
+    /// spans partition the run's cycle totals: [`Exec::dispatch`] emits
     /// exactly one per [`ExecutionEngine`] dispatch it folds, so summing a
     /// cycle argument over the category reproduces the run total exactly.
     fn op_span(&self, name: &str, before: CycleStats) {
@@ -400,160 +415,29 @@ impl Exec {
         }
     }
 
-    fn run_layer(
+    /// Runs one in-cache pass as `jobs` independent shard jobs on the
+    /// engine. Each job returns a value and the cycles it consumed; both
+    /// fold in job order (`fold` gets the job index and value), so every
+    /// engine yields identical results, and the pass emits exactly one
+    /// `functional.op` span named `op`.
+    fn dispatch<T: Send>(
         &mut self,
-        layer: &Layer,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-    ) -> Result<QTensor> {
-        match layer {
-            Layer::Conv(conv) => {
-                let acc = self.conv_accumulate(conv, input)?;
-                let scale = conv.w_quant.scale * input.params().scale;
-                let (acc_min, acc_max) = acc.min_max();
-                let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, scale);
-                let out = self.requantize(&acc, requant, out_quant)?;
-                records.push(SublayerRecord {
-                    name: conv.spec.name.clone(),
-                    acc_min,
-                    acc_max,
-                    requant,
-                    out_quant,
-                });
-                Ok(out)
-            }
-            Layer::Pool(pool) => self.pool(pool, input),
-            Layer::Mixed(block) => self.mixed(block, input, records),
-        }
-    }
-
-    fn mixed(
-        &mut self,
-        block: &MixedBlock,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-    ) -> Result<QTensor> {
-        let mut pending = Vec::new();
-        for branch in &block.branches {
-            self.run_branch(branch, input, records, &mut pending)?;
-        }
-
-        // Block-wide real range (in hardware: per-array min/max trees plus
-        // a bus/ring reduction; the CPU then derives the scalars).
-        let mut r_min = f64::INFINITY;
-        let mut r_max = f64::NEG_INFINITY;
-        for p in &pending {
-            match p {
-                Pending::Acc(acc, scale, _) => {
-                    let (lo, hi) = acc.min_max();
-                    r_min = r_min.min(lo as f64 * scale);
-                    r_max = r_max.max(hi as f64 * scale);
-                }
-                Pending::Codes(t) => {
-                    let (mut lo, mut hi) = (u8::MAX, u8::MIN);
-                    for &q in t.data() {
-                        lo = lo.min(q);
-                        hi = hi.max(q);
-                    }
-                    r_min = r_min.min(t.params().dequantize(lo));
-                    r_max = r_max.max(t.params().dequantize(hi));
-                }
-            }
-        }
-        let out_quant = shared_out_quant(r_min, r_max);
-
-        let mut parts = Vec::with_capacity(pending.len());
-        for p in pending {
-            match p {
-                Pending::Acc(acc, scale, name) => {
-                    let requant = branch_requantizer(r_min, r_max, scale);
-                    let (acc_min, acc_max) = acc.min_max();
-                    let out = self.requantize(&acc, requant, out_quant)?;
-                    if let Some(rec) = records.iter_mut().rev().find(|r| r.name == name) {
-                        rec.requant = requant;
-                        rec.out_quant = out_quant;
-                        rec.acc_min = acc_min;
-                        rec.acc_max = acc_max;
-                    }
-                    parts.push(out);
-                }
-                Pending::Codes(t) => {
-                    let map = CodeRequant::between(t.params(), out_quant);
-                    parts.push(self.code_requant(&t, map, out_quant)?);
-                }
-            }
-        }
-        Ok(concat_channels(&parts, out_quant))
-    }
-
-    fn run_branch(
-        &mut self,
-        branch: &Branch,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-        pending: &mut Vec<Pending>,
+        op: &str,
+        jobs: usize,
+        job: impl Fn(&ArrayPool, usize) -> Result<(T, CycleStats)> + Sync,
+        mut fold: impl FnMut(usize, T),
     ) -> Result<()> {
-        let mut cur = input.clone();
-        let last = branch.ops.len() - 1;
-        for (i, op) in branch.ops.iter().enumerate() {
-            match op {
-                BranchOp::Pool(p) => {
-                    let out = self.pool(p, &cur)?;
-                    if i == last {
-                        pending.push(Pending::Codes(out));
-                        return Ok(());
-                    }
-                    cur = out;
-                }
-                BranchOp::Conv(c) => {
-                    if i == last {
-                        self.pend_conv(c, &cur, records, pending)?;
-                        return Ok(());
-                    }
-                    let acc = self.conv_accumulate(c, &cur)?;
-                    let scale = c.w_quant.scale * cur.params().scale;
-                    let (acc_min, acc_max) = acc.min_max();
-                    let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, scale);
-                    let out = self.requantize(&acc, requant, out_quant)?;
-                    records.push(SublayerRecord {
-                        name: c.spec.name.clone(),
-                        acc_min,
-                        acc_max,
-                        requant,
-                        out_quant,
-                    });
-                    cur = out;
-                }
-                BranchOp::Split(convs) => {
-                    for c in convs {
-                        self.pend_conv(c, &cur, records, pending)?;
-                    }
-                    return Ok(());
-                }
-            }
+        let before = self.cycles;
+        let pool = &self.pool;
+        let shards = self
+            .engine
+            .run_observed(jobs, |i| job(pool, i), self.observer.as_ref());
+        for (i, shard) in shards.into_iter().enumerate() {
+            let (value, cycles) = shard?;
+            self.cycles += cycles;
+            fold(i, value);
         }
-        unreachable!("branch has at least one op");
-    }
-
-    fn pend_conv(
-        &mut self,
-        c: &Conv2d,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-        pending: &mut Vec<Pending>,
-    ) -> Result<()> {
-        let acc = self.conv_accumulate(c, input)?;
-        let scale = c.w_quant.scale * input.params().scale;
-        let (acc_min, acc_max) = acc.min_max();
-        let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, scale);
-        records.push(SublayerRecord {
-            name: c.spec.name.clone(),
-            acc_min,
-            acc_max,
-            requant,
-            out_quant,
-        });
-        pending.push(Pending::Acc(acc, scale, c.spec.name.clone()));
+        self.op_span(op, before);
         Ok(())
     }
 
@@ -604,19 +488,17 @@ impl Exec {
         // Passes 1+2, sharded per output window: each job MACs and reduces
         // every filter group against its window, then assembles the
         // accumulators, on arrays drawn from the shared pool.
-        let engine = self.engine;
         let mode = self.mode;
-        let pool = &self.pool;
         let positions = out_shape.h * out_shape.w;
         let filter_lanes = &filter_lanes;
         let c0 = &c0;
         #[cfg(debug_assertions)]
         let acquires_before = self.pool.stats().acquires;
-        let op_before = self.cycles;
-        let observer = self.observer.as_ref();
-        let shards = engine.run_observed(
+        let mut acc_values = vec![0i64; out_shape.len()];
+        self.dispatch(
+            "mac-reduce",
             positions,
-            |pos| -> Result<(Vec<i64>, CycleStats)> {
+            |pool, pos| {
                 let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
                 let mut cycles = CycleStats::new();
                 let mut window_bytes = vec![0u8; spec.r * spec.s * spec.c];
@@ -646,19 +528,13 @@ impl Exec {
                 }
                 Ok((vals, cycles))
             },
-            observer,
-        );
-
-        let mut acc_values = vec![0i64; out_shape.len()];
-        for (pos, shard) in shards.into_iter().enumerate() {
-            let (vals, cycles) = shard?;
-            self.cycles += cycles;
-            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-            for (m, v) in vals.into_iter().enumerate() {
-                acc_values[out_shape.index(ey, ex, m)] = v;
-            }
-        }
-        self.op_span("mac-reduce", op_before);
+            |pos, vals| {
+                let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
+                for (m, v) in vals.into_iter().enumerate() {
+                    acc_values[out_shape.index(ey, ex, m)] = v;
+                }
+            },
+        )?;
 
         // Inter-array reduce barrier — dynamic ranging (Section IV-D) needs
         // every shard's accumulators: per-array min/max trees, combined
@@ -671,8 +547,8 @@ impl Exec {
         // position, then two ranging checkouts per 256-lane chunk).
         #[cfg(debug_assertions)]
         {
-            let runs = spec.m.div_ceil(groups_per_array) as u64;
-            let per_position = runs * arrays_per_filter as u64 + spec.m as u64;
+            let (mac_arrays, assemble_arrays) = geom.mac_job_checkouts(spec.m);
+            let per_position = (mac_arrays + assemble_arrays) as u64;
             let ranging = 2 * acc_values.len().div_ceil(COLS) as u64;
             debug_assert_eq!(
                 self.pool.stats().acquires - acquires_before,
@@ -695,6 +571,9 @@ impl Exec {
             values: acc_values,
             min,
             max,
+            scale: conv.w_quant.scale * input.params().scale,
+            // The record `Passes::conv` pushes for this sub-layer next.
+            record: self.sublayers.len(),
         })
     }
 
@@ -704,27 +583,22 @@ impl Exec {
     /// results combine like per-array results do over the bus and ring
     /// (each 256-lane chunk is one shard job).
     fn min_max_in_cache(&mut self, values: &[i64]) -> Result<(i64, i64)> {
-        let engine = self.engine;
-        let pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[i64]> = values.chunks(COLS).collect();
-        let shards =
-            engine.run_observed(chunks.len(), |i| min_max_chunk(pool, chunks[i]), observer);
-
         // Per-shard extremes fold through ValueStats: merge is commutative
         // and associative, so the combined range is independent of shard
         // completion order (the threaded engine's only freedom here).
         let mut range = nc_sram::ValueStats::new();
-        for shard in shards {
-            let (lo, hi, cycles) = shard?;
-            self.cycles += cycles;
-            let mut shard_stats = nc_sram::ValueStats::new();
-            shard_stats.observe(lo);
-            shard_stats.observe(hi);
-            range = range.merge(shard_stats);
-        }
-        self.op_span("ranging", before);
+        self.dispatch(
+            "ranging",
+            chunks.len(),
+            |pool, i| min_max_chunk(pool, chunks[i]),
+            |_, (lo, hi)| {
+                let mut shard_stats = nc_sram::ValueStats::new();
+                shard_stats.observe(lo);
+                shard_stats.observe(hi);
+                range = range.merge(shard_stats);
+            },
+        )?;
         Ok((range.min, range.max))
     }
 
@@ -735,30 +609,20 @@ impl Exec {
     /// Requantizes a chunk of accumulators in-cache: subtract the layer
     /// minimum, ReLU-clamp, scalar multiply, shift by row re-addressing,
     /// saturate at 255. Each 256-output array run is one shard job.
-    fn requantize(
+    fn requant_acc(
         &mut self,
         acc: &AccChunk,
         requant: Requantizer,
         out_quant: ActQuant,
     ) -> Result<QTensor> {
-        let engine = self.engine;
-        let pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[i64]> = acc.values.chunks(COLS).collect();
-        let shards = engine.run_observed(
-            chunks.len(),
-            |i| requant_chunk(pool, chunks[i], requant),
-            observer,
-        );
-
         let mut out = Vec::with_capacity(acc.values.len());
-        for shard in shards {
-            let (bytes, cycles) = shard?;
-            self.cycles += cycles;
-            out.extend_from_slice(&bytes);
-        }
-        self.op_span("requantize", before);
+        self.dispatch(
+            "requantize",
+            chunks.len(),
+            |pool, i| requant_chunk(pool, chunks[i], requant),
+            |_, bytes| out.extend_from_slice(&bytes),
+        )?;
         Ok(QTensor::from_vec(acc.shape, out_quant, out))
     }
 
@@ -771,32 +635,48 @@ impl Exec {
         map: CodeRequant,
         out_quant: ActQuant,
     ) -> Result<QTensor> {
-        let engine = self.engine;
-        let pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[u8]> = t.data().chunks(COLS).collect();
-        let shards = engine.run_observed(
-            chunks.len(),
-            |i| code_requant_chunk(pool, chunks[i], map),
-            observer,
-        );
-
         let mut out = Vec::with_capacity(t.data().len());
-        for shard in shards {
-            let (bytes, cycles) = shard?;
-            self.cycles += cycles;
-            out.extend_from_slice(&bytes);
-        }
-        self.op_span("code-requant", before);
+        self.dispatch(
+            "code-requant",
+            chunks.len(),
+            |pool, i| code_requant_chunk(pool, chunks[i], map),
+            |_, bytes| out.extend_from_slice(&bytes),
+        )?;
         Ok(QTensor::from_vec(t.shape(), out_quant, out))
     }
+}
 
-    // ------------------------------------------------------------------
-    // Pooling (Section IV-D)
-    // ------------------------------------------------------------------
+/// The leaf steps of [`walk_layer`]: every convolution pushes its
+/// sub-layer record once, with its own-range requantization; a branch final
+/// has that record rewritten when its block's shared range is known.
+impl<'m> Passes<'m> for Exec {
+    type Act = QTensor;
+    type Acc = AccChunk;
+    type Error = FunctionalError;
 
-    fn pool(&mut self, pool: &nc_dnn::Pool2d, input: &QTensor) -> Result<QTensor> {
+    fn conv(&mut self, conv: &'m Conv2d, input: &QTensor) -> Result<AccChunk> {
+        let acc = self.conv_accumulate(conv, input)?;
+        let (requant, out_quant) = conv_requant_plan(acc.min, acc.max, acc.scale);
+        self.sublayers.push(SublayerRecord {
+            name: conv.spec.name.clone(),
+            acc_min: acc.min,
+            acc_max: acc.max,
+            requant,
+            out_quant,
+        });
+        Ok(acc)
+    }
+
+    fn requantize(&mut self, _conv: &'m Conv2d, acc: AccChunk) -> Result<QTensor> {
+        let record = &self.sublayers[acc.record];
+        let (requant, out_quant) = (record.requant, record.out_quant);
+        self.requant_acc(&acc, requant, out_quant)
+    }
+
+    /// Pooling (Section IV-D): one output per lane, sharded per 256-lane
+    /// array run.
+    fn pool(&mut self, pool: &'m Pool2d, input: &QTensor) -> Result<QTensor> {
         let in_shape = input.shape();
         let out_shape = pool.out_shape(in_shape);
         let pad_y = pad_before(in_shape.h, pool.k, pool.stride, pool.padding) as isize;
@@ -831,35 +711,67 @@ impl Exec {
         // All lanes (across every array run) advance through the same
         // number of rounds, in lockstep with the widest window.
         let max_window = windows.iter().map(Vec::len).max().unwrap_or(0);
-        let engine = self.engine;
-        let shared_pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[Vec<u8>]> = windows.chunks(COLS).collect();
         let kind = pool.kind;
-        let shards = engine.run_observed(
-            chunks.len(),
-            |i| match kind {
-                PoolKind::Max => pool_max_chunk(shared_pool, chunks[i], max_window),
-                PoolKind::Avg => pool_avg_chunk(shared_pool, chunks[i], max_window),
-            },
-            observer,
-        );
-
+        let op = match kind {
+            PoolKind::Max => "pool-max",
+            PoolKind::Avg => "pool-avg",
+        };
         let mut out = Vec::with_capacity(total);
-        for shard in shards {
-            let (bytes, cycles) = shard?;
-            self.cycles += cycles;
-            out.extend_from_slice(&bytes);
-        }
-        self.op_span(
-            match kind {
-                PoolKind::Max => "pool-max",
-                PoolKind::Avg => "pool-avg",
+        self.dispatch(
+            op,
+            chunks.len(),
+            |arrays, i| match kind {
+                PoolKind::Max => pool_max_chunk(arrays, chunks[i], max_window),
+                PoolKind::Avg => pool_avg_chunk(arrays, chunks[i], max_window),
             },
-            before,
-        );
+            |_, bytes| out.extend_from_slice(&bytes),
+        )?;
         Ok(QTensor::from_vec(out_shape, input.params(), out))
+    }
+
+    fn join(
+        &mut self,
+        _block: &'m MixedBlock,
+        pending: Vec<Pending<'m, AccChunk, QTensor>>,
+    ) -> Result<QTensor> {
+        // Block-wide real range (in hardware: per-array min/max trees plus
+        // a bus/ring reduction; the CPU then derives the scalars).
+        let mut r_min = f64::INFINITY;
+        let mut r_max = f64::NEG_INFINITY;
+        for p in &pending {
+            let (lo, hi) = match p {
+                Pending::Conv(_, acc) => (acc.min as f64 * acc.scale, acc.max as f64 * acc.scale),
+                Pending::Pool(_, t) => {
+                    let (lo, hi) = t
+                        .data()
+                        .iter()
+                        .fold((u8::MAX, u8::MIN), |(lo, hi), &q| (lo.min(q), hi.max(q)));
+                    (t.params().dequantize(lo), t.params().dequantize(hi))
+                }
+            };
+            r_min = r_min.min(lo);
+            r_max = r_max.max(hi);
+        }
+        let out_quant = shared_out_quant(r_min, r_max);
+
+        let mut parts = Vec::with_capacity(pending.len());
+        for p in pending {
+            parts.push(match p {
+                Pending::Conv(_, acc) => {
+                    let requant = branch_requantizer(r_min, r_max, acc.scale);
+                    let record = &mut self.sublayers[acc.record];
+                    record.requant = requant;
+                    record.out_quant = out_quant;
+                    self.requant_acc(&acc, requant, out_quant)?
+                }
+                Pending::Pool(_, t) => {
+                    let map = CodeRequant::between(t.params(), out_quant);
+                    self.code_requant(&t, map, out_quant)?
+                }
+            });
+        }
+        Ok(concat_channels(&parts, out_quant))
     }
 }
 
@@ -960,7 +872,7 @@ fn assemble_acc(
 }
 
 /// One 256-lane min/max ranging run over a chunk of accumulators.
-fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<(i64, i64, CycleStats)> {
+fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<((i64, i64), CycleStats)> {
     const OFFSET: i64 = 1 << 38; // |ACC| < 2^38 stays positive
     let l = layout::RangingLayout::new();
 
@@ -983,7 +895,7 @@ fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<(i64, i64, CycleStat
             min = min.min(extreme);
         }
     }
-    Ok((min, max, cycles))
+    Ok(((min, max), cycles))
 }
 
 /// One 256-output requantization array run (pass 3).
@@ -1497,6 +1409,28 @@ mod tests {
             run_model_with(&model, &input, ExecutionEngine::from_threads(16)).expect("threaded");
         assert_eq!(seq.output.data(), thr.output.data());
         assert_eq!(seq.cycles, thr.cycles);
+    }
+
+    #[test]
+    fn wrong_input_shape_is_an_error() {
+        let model = tiny_cnn(5);
+        let mut shape = model.input_shape;
+        shape.w += 1;
+        let input = random_input(shape, model.input_quant, 50);
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::from_threads(2),
+        ] {
+            let err = run_model_with(&model, &input, engine).unwrap_err();
+            assert_eq!(
+                err,
+                FunctionalError::InputShape {
+                    expected: model.input_shape,
+                    actual: shape,
+                }
+            );
+            assert!(err.to_string().contains("input shape"));
+        }
     }
 
     #[test]

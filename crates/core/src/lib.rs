@@ -71,9 +71,7 @@ pub mod sparsity;
 pub mod timing;
 pub mod trace;
 
-pub use batching::{
-    serve_requests, throughput_sweep, time_batch, BatchCostModel, BatchReport, ServingReport,
-};
+pub use batching::{throughput_sweep, time_batch, BatchCostModel, BatchReport};
 pub use config::SystemConfig;
 pub use cost::{CostModel, CostModelKind, DerivedCostModel, PaperCostModel};
 pub use energy::{energy_of, EnergyReport};
@@ -132,18 +130,6 @@ impl NeuralCache {
         time_batch(&self.config, model, batch)
     }
 
-    /// Simulates serving `requests` concurrent inference requests across
-    /// the configured sockets (the throughput-serving driver; weights stay
-    /// stationary per socket, Section IV-E).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests` is zero.
-    #[must_use]
-    pub fn serve(&self, model: &nc_dnn::Model, requests: usize) -> ServingReport {
-        serve_requests(&self.config, model, requests)
-    }
-
     /// Plans `model` once and returns the reusable batch costing the
     /// serving stack (`nc-serve`) prices dynamic batches with.
     #[must_use]
@@ -166,8 +152,8 @@ impl NeuralCache {
     ///
     /// # Errors
     ///
-    /// Returns an error if a sub-layer lacks weights or an internal SRAM
-    /// operation is rejected.
+    /// Returns an error if the input shape is not the model's, a sub-layer
+    /// lacks weights, or an internal SRAM operation is rejected.
     pub fn run_functional(
         &self,
         model: &nc_dnn::Model,
@@ -198,9 +184,6 @@ mod tests {
         let batch = system.run_batch(&model, 4);
         assert!(batch.throughput_ips > 0.0);
         assert_eq!(system.plan(&model).len(), 20);
-        let serving = system.serve(&model, 8);
-        assert_eq!(serving.requests, 8);
-        assert!(serving.throughput_ips > 0.0);
     }
 
     #[test]

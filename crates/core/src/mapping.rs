@@ -9,7 +9,8 @@
 //! example (`Conv2D_2b`: ~32K parallel convolutions, 43 serial rounds, 99.7%
 //! utilization) is reproduced by tests.
 
-use nc_dnn::{Conv2d, ConvSpec, Layer, Model, PoolKind, Shape};
+use nc_dnn::walk::Unit;
+use nc_dnn::{Conv2d, ConvSpec, Layer, Model, Pool2d, PoolKind, Shape};
 use nc_geometry::CacheGeometry;
 use nc_sram::{COLS, ROWS};
 
@@ -65,6 +66,15 @@ impl LaneGeometry {
         } else {
             1
         }
+    }
+
+    /// Pool checkouts of one output-window MAC job over `m` filters:
+    /// `(runs × arrays_per_filter, m)` — the MAC+reduce arrays of every
+    /// filter run, then one accumulator-assembly array per filter.
+    #[must_use]
+    pub fn mac_job_checkouts(&self, m: usize) -> (usize, usize) {
+        let runs = m.div_ceil(self.groups_per_array(m));
+        (runs * self.arrays_per_filter, m)
     }
 }
 
@@ -450,70 +460,22 @@ pub fn plan_layer_with(
 ) -> LayerPlan {
     let mut units = Vec::new();
     let mut filter_bytes = 0;
-    match layer {
-        Layer::Conv(conv) => {
-            filter_bytes += conv.spec.weight_len();
-            units.push(UnitPlan::Conv(plan_conv_unit(
+    for unit in layer.units(input) {
+        units.push(match unit {
+            Unit::Conv {
                 conv,
                 input,
-                conv.spec.out_shape(input),
-                geometry,
-                mode,
-            )));
-        }
-        Layer::Pool(pool) => {
-            units.push(UnitPlan::Pool(plan_pool_unit(
-                &pool.name,
-                pool.kind,
-                pool.k,
-                pool.stride,
-                input,
-                pool.out_shape(input),
-                geometry,
-            )));
-        }
-        Layer::Mixed(block) => {
-            for branch in &block.branches {
-                let mut cur = input;
-                for op in &branch.ops {
-                    match op {
-                        nc_dnn::BranchOp::Conv(conv) => {
-                            filter_bytes += conv.spec.weight_len();
-                            let out = conv.spec.out_shape(cur);
-                            units.push(UnitPlan::Conv(plan_conv_unit(
-                                conv, cur, out, geometry, mode,
-                            )));
-                            cur = out;
-                        }
-                        nc_dnn::BranchOp::Pool(pool) => {
-                            let out = pool.out_shape(cur);
-                            units.push(UnitPlan::Pool(plan_pool_unit(
-                                &pool.name,
-                                pool.kind,
-                                pool.k,
-                                pool.stride,
-                                cur,
-                                out,
-                                geometry,
-                            )));
-                            cur = out;
-                        }
-                        nc_dnn::BranchOp::Split(convs) => {
-                            for conv in convs {
-                                filter_bytes += conv.spec.weight_len();
-                                units.push(UnitPlan::Conv(plan_conv_unit(
-                                    conv,
-                                    cur,
-                                    conv.spec.out_shape(cur),
-                                    geometry,
-                                    mode,
-                                )));
-                            }
-                        }
-                    }
-                }
+                output,
+            } => {
+                filter_bytes += conv.spec.weight_len();
+                UnitPlan::Conv(plan_conv_unit(conv, input, output, geometry, mode))
             }
-        }
+            Unit::Pool {
+                pool,
+                input,
+                output,
+            } => UnitPlan::Pool(plan_pool_unit(pool, input, output, geometry)),
+        });
     }
     let out_shape = layer.out_shape(input);
     LayerPlan {
@@ -627,10 +589,7 @@ fn plan_conv_unit(
 }
 
 fn plan_pool_unit(
-    name: &str,
-    kind: PoolKind,
-    k: usize,
-    stride: usize,
+    pool: &Pool2d,
     in_shape: Shape,
     out_shape: Shape,
     geometry: &CacheGeometry,
@@ -638,16 +597,16 @@ fn plan_pool_unit(
     let total_outputs = out_shape.len();
     let parallel_outputs = geometry.compute_lanes();
     PoolMapping {
-        name: name.to_owned(),
-        kind,
+        name: pool.name.clone(),
+        kind: pool.kind,
         in_shape,
         out_shape,
-        window: k * k,
-        stride,
+        window: pool.k * pool.k,
+        stride: pool.stride,
         rounds: total_outputs.div_ceil(parallel_outputs).max(1),
         parallel_outputs,
         total_outputs,
-        fresh_input_fraction: fresh_fraction(k, stride),
+        fresh_input_fraction: fresh_fraction(pool.k, pool.stride),
     }
 }
 

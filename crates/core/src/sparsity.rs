@@ -25,6 +25,7 @@
 //! All cycle arithmetic derives from the [`CostModel`] trait — the analysis
 //! can no longer drift from `cost.rs`.
 
+use nc_dnn::walk::Unit;
 use nc_dnn::{pad_before, reference, BranchOp, Conv2d, Layer, Model, QTensor};
 use nc_sram::COLS;
 
@@ -315,30 +316,9 @@ pub fn analyze(model: &Model) -> SparsityReport {
     assert!(model.has_weights(), "sparsity analysis needs weights");
     let mut sublayers = Vec::new();
     for (layer, input) in model.layers.iter().zip(model.layer_inputs()) {
-        match layer {
-            Layer::Conv(conv) => {
-                sublayers.push(analyze_conv(conv, conv.spec.out_shape(input)));
-            }
-            Layer::Pool(_) => {}
-            Layer::Mixed(block) => {
-                for branch in &block.branches {
-                    let mut cur = input;
-                    for op in &branch.ops {
-                        match op {
-                            nc_dnn::BranchOp::Conv(conv) => {
-                                let out = conv.spec.out_shape(cur);
-                                sublayers.push(analyze_conv(conv, out));
-                                cur = out;
-                            }
-                            nc_dnn::BranchOp::Pool(pool) => cur = pool.out_shape(cur),
-                            nc_dnn::BranchOp::Split(convs) => {
-                                for conv in convs {
-                                    sublayers.push(analyze_conv(conv, conv.spec.out_shape(cur)));
-                                }
-                            }
-                        }
-                    }
-                }
+        for unit in layer.units(input) {
+            if let Unit::Conv { conv, output, .. } = unit {
+                sublayers.push(analyze_conv(conv, output));
             }
         }
     }

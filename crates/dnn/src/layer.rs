@@ -4,6 +4,7 @@
 
 use std::fmt;
 
+use crate::walk::concat_shapes;
 use crate::{conv_out_dim, ActQuant, Padding, Shape, WeightQuant};
 
 /// Shape-level description of a convolution sub-layer (no weights).
@@ -275,14 +276,7 @@ impl BranchOp {
         match self {
             BranchOp::Conv(c) => c.spec.out_shape(input),
             BranchOp::Pool(p) => p.out_shape(input),
-            BranchOp::Split(convs) => {
-                let shapes: Vec<Shape> = convs.iter().map(|c| c.spec.out_shape(input)).collect();
-                let (h, w) = (shapes[0].h, shapes[0].w);
-                for s in &shapes {
-                    assert_eq!((s.h, s.w), (h, w), "split spatial dims differ");
-                }
-                Shape::new(h, w, shapes.iter().map(|s| s.c).sum())
-            }
+            BranchOp::Split(convs) => concat_shapes(convs.iter().map(|c| c.spec.out_shape(input))),
         }
     }
 
@@ -347,17 +341,7 @@ impl MixedBlock {
     /// Panics if branches disagree on spatial output dimensions.
     #[must_use]
     pub fn out_shape(&self, input: Shape) -> Shape {
-        let shapes: Vec<Shape> = self.branches.iter().map(|b| b.out_shape(input)).collect();
-        let (h, w) = (shapes[0].h, shapes[0].w);
-        for s in &shapes {
-            assert_eq!(
-                (s.h, s.w),
-                (h, w),
-                "{}: branch spatial dims differ",
-                self.name
-            );
-        }
-        Shape::new(h, w, shapes.iter().map(|s| s.c).sum())
+        concat_shapes(self.branches.iter().map(|b| b.out_shape(input)))
     }
 }
 

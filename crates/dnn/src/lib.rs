@@ -16,6 +16,8 @@
 //!   model — our substitute for instrumented TensorFlow traces);
 //! - [`inception`]: the complete Inception v3 graph (20 top-level layers,
 //!   94 convolution sub-layers) with seeded synthetic weights;
+//! - [`walk`]: the one mixed-block sequencing (branch order, deferred
+//!   block-wide requantization) every executor and analysis shares;
 //! - [`summary`]: Table I derivation (layer parameters, convolution counts,
 //!   filter/input megabytes).
 //!
@@ -55,6 +57,7 @@ pub mod reference;
 mod shape;
 pub mod summary;
 mod tensor;
+pub mod walk;
 pub mod workload;
 
 pub use layer::{Branch, BranchOp, Conv2d, ConvSpec, Layer, MixedBlock, Model, Pool2d, PoolKind};

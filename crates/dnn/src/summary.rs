@@ -14,7 +14,8 @@
 
 use std::fmt::Write;
 
-use crate::{Branch, BranchOp, Layer, Model, Shape};
+use crate::walk::Unit;
+use crate::{Layer, Model, Shape};
 
 /// One row of Table I.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,26 +62,8 @@ pub fn table1(model: &Model) -> Vec<LayerSummary> {
 
 fn summarize_layer(layer: &Layer, input: Shape) -> LayerSummary {
     let out = layer.out_shape(input);
-    match layer {
-        Layer::Conv(conv) => {
-            let spec = &conv.spec;
-            let conv_out = spec.out_shape(input);
-            LayerSummary {
-                name: spec.name.clone(),
-                h: input.h,
-                window_min: spec.window(),
-                window_max: spec.window(),
-                e: out.h,
-                c_min: spec.c,
-                c_max: spec.c,
-                m_min: spec.m,
-                m_max: spec.m,
-                convolutions: conv_out.h * conv_out.w * spec.m,
-                filter_mb: spec.weight_len() as f64 / MB,
-                input_mb: input.bytes() as f64 / MB,
-            }
-        }
-        Layer::Pool(pool) => LayerSummary {
+    if let Layer::Pool(pool) = layer {
+        return LayerSummary {
             name: pool.name.clone(),
             h: input.h,
             window_min: pool.k * pool.k,
@@ -93,87 +76,50 @@ fn summarize_layer(layer: &Layer, input: Shape) -> LayerSummary {
             convolutions: 0,
             filter_mb: 0.0,
             input_mb: input.bytes() as f64 / MB,
-        },
-        Layer::Mixed(block) => {
-            let mut window = RangeAcc::new();
-            let mut c = RangeAcc::new();
-            let mut m = RangeAcc::new();
-            let mut convolutions = 0usize;
-            let mut filter_bytes = 0usize;
-            for branch in &block.branches {
-                walk_branch(
-                    branch,
-                    input,
-                    &mut window,
-                    &mut c,
-                    &mut m,
-                    &mut convolutions,
-                    &mut filter_bytes,
-                );
-            }
-            LayerSummary {
-                name: block.name.clone(),
-                h: input.h,
-                window_min: window.min,
-                window_max: window.max,
-                e: out.h,
-                c_min: c.min,
-                c_max: c.max,
-                m_min: m.min,
-                m_max: m.max,
-                convolutions,
-                filter_mb: filter_bytes as f64 / MB,
-                // Each branch streams the block input (paper convention).
-                input_mb: (block.branches.len() * input.bytes()) as f64 / MB,
-            }
-        }
+        };
     }
-}
-
-fn walk_branch(
-    branch: &Branch,
-    block_input: Shape,
-    window: &mut RangeAcc,
-    c: &mut RangeAcc,
-    m: &mut RangeAcc,
-    convolutions: &mut usize,
-    filter_bytes: &mut usize,
-) {
-    let mut cur = block_input;
-    for op in &branch.ops {
-        match op {
-            BranchOp::Conv(conv) => {
+    let mut window = RangeAcc::new();
+    let mut c = RangeAcc::new();
+    let mut m = RangeAcc::new();
+    let mut convolutions = 0usize;
+    let mut filter_bytes = 0usize;
+    for unit in layer.units(input) {
+        match unit {
+            Unit::Conv { conv, output, .. } => {
                 let spec = &conv.spec;
-                let out = spec.out_shape(cur);
                 window.add(spec.window());
                 c.add(spec.c);
                 m.add(spec.m);
-                *convolutions += out.h * out.w * spec.m;
-                *filter_bytes += spec.weight_len();
-                cur = out;
+                convolutions += output.h * output.w * spec.m;
+                filter_bytes += spec.weight_len();
             }
-            BranchOp::Pool(pool) => {
-                // Pool steps contribute their channel count to the C and M
-                // ranges (Table I convention for mixed blocks).
-                c.add(cur.c);
-                m.add(cur.c);
-                cur = pool.out_shape(cur);
-            }
-            BranchOp::Split(convs) => {
-                let mut total_c = 0;
-                for conv in convs {
-                    let spec = &conv.spec;
-                    let out = spec.out_shape(cur);
-                    window.add(spec.window());
-                    c.add(spec.c);
-                    m.add(spec.m);
-                    *convolutions += out.h * out.w * spec.m;
-                    *filter_bytes += spec.weight_len();
-                    total_c += out.c;
-                }
-                cur = Shape::new(op.out_shape(cur).h, op.out_shape(cur).w, total_c);
+            // Pool steps contribute their channel count to the C and M
+            // ranges (Table I convention for mixed blocks).
+            Unit::Pool { input, .. } => {
+                c.add(input.c);
+                m.add(input.c);
             }
         }
+    }
+    // Each branch of a mixed block streams the block input (paper
+    // convention).
+    let streams = match layer {
+        Layer::Mixed(block) => block.branches.len(),
+        _ => 1,
+    };
+    LayerSummary {
+        name: layer.name().to_owned(),
+        h: input.h,
+        window_min: window.min,
+        window_max: window.max,
+        e: out.h,
+        c_min: c.min,
+        c_max: c.max,
+        m_min: m.min,
+        m_max: m.max,
+        convolutions,
+        filter_mb: filter_bytes as f64 / MB,
+        input_mb: (streams * input.bytes()) as f64 / MB,
     }
 }
 

@@ -373,6 +373,19 @@ impl Telemetry {
         .unwrap_or(0.0)
     }
 
+    /// Names of every span in `cat`, in recording order (repeats kept).
+    #[must_use]
+    pub fn span_sequence(&self, cat: &str) -> Vec<String> {
+        self.with_state(|s| {
+            s.spans
+                .iter()
+                .filter(|sp| sp.cat == cat)
+                .map(|sp| sp.name.clone())
+                .collect()
+        })
+        .unwrap_or_default()
+    }
+
     /// Distinct span names in `cat`, in first-appearance order.
     #[must_use]
     pub fn span_names(&self, cat: &str) -> Vec<String> {

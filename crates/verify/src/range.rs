@@ -16,7 +16,9 @@
 //! Ranges propagate across layers by a model-level dataflow pass: the layer
 //! chain (including mixed-block branches) is a DAG evaluated in execution
 //! order, so the dataflow fixpoint is reached in one forward sweep — there
-//! are no back edges to iterate. The cross-layer transfer function uses the
+//! are no back edges to iterate. The sweep is the executor's own sub-layer
+//! sequencing ([`nc_dnn::walk::walk_layer`]) with abstract transfer
+//! functions as its leaf passes. The cross-layer transfer function uses the
 //! one fact the runtime-derived requantization guarantees statically:
 //! output codes span `[0, 255]`, and a fused `ReLU` (or an all-non-negative
 //! mixed block) pins the derived zero point to 0, so the next layer's
@@ -30,7 +32,10 @@
 //! proven bounds into trimmed operand allocations.
 
 use nc_dnn::reference::SublayerRecord;
-use nc_dnn::{Branch, BranchOp, Conv2d, Layer, Model};
+use std::convert::Infallible;
+
+use nc_dnn::walk::{walk_layer, Passes, Pending};
+use nc_dnn::{Conv2d, MixedBlock, Model, Pool2d};
 use neural_cache::cost::DATA_BITS;
 use neural_cache::mapping::{
     advise_bit_budget, bits_for_unsigned, conv_lane_geometry, BitBudget, ProvenBounds,
@@ -185,7 +190,7 @@ impl ConvRanges {
 }
 
 /// Proven ranges of every convolution sub-layer of a model, in
-/// [`Layer::conv_sublayers`] traversal order — positionally aligned with
+/// [`nc_dnn::Layer::conv_sublayers`] traversal order — positionally aligned with
 /// the executed [`SublayerRecord`] streams of both execution engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelRanges {
@@ -225,11 +230,16 @@ impl ActState {
         }
     }
 
-    /// The state of a requantized tensor with a provably-zero zero point
-    /// (fused `ReLU` pins `acc_min >= 0`, so the derived zero point is 0).
-    fn non_negative() -> Self {
-        ActState {
-            centered: Interval::new(0, 255),
+    /// The state of a requantized tensor: with provably non-negative real
+    /// values (a fused `ReLU` pins `acc_min >= 0`) the derived zero point is
+    /// 0, otherwise it is unknown.
+    fn requantized(non_negative: bool) -> Self {
+        if non_negative {
+            ActState {
+                centered: Interval::new(0, 255),
+            }
+        } else {
+            ActState::unknown()
         }
     }
 
@@ -251,94 +261,63 @@ fn sat(v: i128) -> i64 {
 /// [`ConvRanges::exact_weights`] = `false`).
 #[must_use]
 pub fn model_ranges(model: &Model) -> ModelRanges {
-    let mut convs = Vec::with_capacity(model.conv_sublayer_count());
+    let (lo, hi) = model.input_quant.centered_bounds();
+    let mut flow = Flow(Vec::with_capacity(model.conv_sublayer_count()));
     let mut state = ActState {
-        centered: {
-            let (lo, hi) = model.input_quant.centered_bounds();
-            Interval::new(lo, hi)
-        },
+        centered: Interval::new(lo, hi),
     };
     for layer in &model.layers {
-        state = flow_layer(layer, state, &mut convs);
+        let Ok(out) = walk_layer(&mut flow, layer, &state);
+        state = out;
     }
     ModelRanges {
         model: model.name.clone(),
-        convs,
+        convs: flow.0,
     }
 }
 
-/// Transfer function of one top-level layer; pushes a [`ConvRanges`] per
-/// conv sub-layer in [`Layer::conv_sublayers`] order.
-fn flow_layer(layer: &Layer, input: ActState, out: &mut Vec<ConvRanges>) -> ActState {
-    match layer {
-        Layer::Conv(conv) => {
-            let r = conv_ranges(conv, input.centered);
-            let relu = conv.spec.relu;
-            out.push(r);
-            if relu {
-                ActState::non_negative()
-            } else {
-                ActState::unknown()
-            }
-        }
-        // Pooling preserves codes and quantization parameters.
-        Layer::Pool(_) => input,
-        Layer::Mixed(block) => {
-            let mut all_non_negative = true;
-            for branch in &block.branches {
-                all_non_negative &= flow_branch(branch, input, out);
-            }
-            // shared_out_quant derives the block zero point from the
-            // block-wide real minimum: non-negative on every branch pins
-            // it to 0.
-            if all_non_negative {
-                ActState::non_negative()
-            } else {
-                ActState::unknown()
-            }
-        }
-    }
-}
+/// The transfer functions of the executor's leaf passes, sequenced by
+/// [`walk_layer`]: pushes one [`ConvRanges`] per conv sub-layer in
+/// execution order. A conv's "accumulators" are whether its fused `ReLU`
+/// makes them non-negative.
+struct Flow(Vec<ConvRanges>);
 
-/// Transfer function of one mixed-block branch. Returns whether the
-/// branch's final real values are provably non-negative.
-fn flow_branch(branch: &Branch, input: ActState, out: &mut Vec<ConvRanges>) -> bool {
-    let mut cur = input;
-    let last = branch.ops.len() - 1;
-    for (i, op) in branch.ops.iter().enumerate() {
-        match op {
-            BranchOp::Conv(conv) => {
-                out.push(conv_ranges(conv, cur.centered));
-                cur = if conv.spec.relu {
-                    ActState::non_negative()
-                } else {
-                    ActState::unknown()
-                };
-                if i == last {
-                    return conv.spec.relu;
-                }
-            }
-            BranchOp::Pool(_) => {
-                if i == last {
-                    return cur.is_non_negative();
-                }
-            }
-            BranchOp::Split(convs) => {
-                let mut non_negative = true;
-                for conv in convs {
-                    out.push(conv_ranges(conv, cur.centered));
-                    non_negative &= conv.spec.relu;
-                }
-                return non_negative;
-            }
-        }
+impl<'m> Passes<'m> for Flow {
+    type Act = ActState;
+    type Acc = bool;
+    type Error = Infallible;
+
+    fn conv(&mut self, conv: &'m Conv2d, input: &ActState) -> Result<bool, Infallible> {
+        self.0.push(conv_ranges(conv, input.centered));
+        Ok(conv.spec.relu)
     }
-    unreachable!("branch has at least one op");
+
+    fn requantize(&mut self, _conv: &'m Conv2d, relu: bool) -> Result<ActState, Infallible> {
+        Ok(ActState::requantized(relu))
+    }
+
+    // Pooling preserves codes and quantization parameters.
+    fn pool(&mut self, _pool: &'m Pool2d, input: &ActState) -> Result<ActState, Infallible> {
+        Ok(*input)
+    }
+
+    // shared_out_quant derives the block zero point from the block-wide
+    // real minimum: non-negative on every branch pins it to 0.
+    fn join(
+        &mut self,
+        _block: &'m MixedBlock,
+        pending: Vec<Pending<'m, bool, ActState>>,
+    ) -> Result<ActState, Infallible> {
+        Ok(ActState::requantized(pending.iter().all(|p| match p {
+            Pending::Conv(_, relu) => *relu,
+            Pending::Pool(_, codes) => codes.is_non_negative(),
+        })))
+    }
 }
 
 /// Abstract transfer function of one convolution sub-layer: seeds the
 /// domain from the layer's quantization parameters and weight metadata and
-/// mirrors the executor's op sequence (tap products, per-lane partial,
+/// follows the in-cache arithmetic (tap products, per-lane partial,
 /// `S1`/`S2` reduce trees, 40-bit assembly, fused `ReLU`).
 ///
 /// `a` is the centered input interval `q - zp_a`; it always contains 0
@@ -587,7 +566,7 @@ pub fn check_provisioning(label: &str, r: &ConvRanges, budget: &BitBudget) -> Ve
 /// The executed leg of the certification: every per-sublayer `acc_min` /
 /// `acc_max` an execution engine measured must lie inside the certified
 /// static interval (V021 on escape). Records reconcile positionally — both
-/// engines emit them in [`Layer::conv_sublayers`] traversal order.
+/// engines emit them in [`nc_dnn::Layer::conv_sublayers`] traversal order.
 #[must_use]
 pub fn reconcile_executed_ranges(
     label: &str,

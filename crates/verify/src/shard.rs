@@ -12,14 +12,21 @@
 //! inter-array reduce barrier of Section IV-D is the join between a MAC
 //! epoch and its ranging epoch.
 //!
-//! [`ShardGraph::from_model`] rebuilds that decomposition from the model
-//! alone — the same shape walk and lane geometry the executor uses, shard
-//! for shard and checkout for checkout — so the happens-before checker
-//! ([`crate::hb`]) can prove the concurrency claims statically and the
-//! executed leg can reconcile the predicted checkout count against the
-//! real pool counters ([`nc_sram::PoolStats`]).
+//! [`ShardGraph::from_model`] derives that decomposition from the model
+//! alone. It is a second implementation of the executor's leaf passes
+//! over the one sub-layer sequencing both share
+//! ([`nc_dnn::walk::walk_layer`]), and its per-window checkout count is the
+//! executor's own ([`neural_cache::LaneGeometry::mac_job_checkouts`]). So
+//! the epoch order follows from the walk rather than from a hand-kept copy,
+//! the happens-before checker ([`crate::hb`]) can prove the concurrency
+//! claims statically, and the executed leg can reconcile the predicted
+//! checkout count against the real pool counters
+//! ([`nc_sram::PoolStats`]).
 
-use nc_dnn::{Branch, BranchOp, ConvSpec, Layer, MixedBlock, Model, Pool2d, PoolKind, Shape};
+use std::convert::Infallible;
+
+use nc_dnn::walk::{concat_shapes, walk_layer, Passes, Pending};
+use nc_dnn::{Conv2d, MixedBlock, Model, Pool2d, PoolKind, Shape};
 use nc_sram::COLS;
 use neural_cache::layout::{all_layouts_with_dump, DUMP_ROW};
 use neural_cache::mapping::conv_lane_geometry;
@@ -181,17 +188,16 @@ impl ShardGraph {
     /// work decomposition, in the same dispatch order, with the same pool
     /// checkout counts as `neural_cache::functional` — derived from
     /// shapes and lane geometry alone (no weights, nothing executes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a branch whose final op is missing (malformed model —
-    /// `Branch::new` already rejects it).
     #[must_use]
     pub fn from_model(model: &Model) -> Self {
         let mut b = Builder::new(model.name.clone());
-        let mut shape = model.input_shape;
+        let mut cur = Tensor {
+            shape: model.input_shape,
+            buffer: None,
+        };
         for layer in &model.layers {
-            shape = b.layer(layer, shape);
+            let Ok(out) = walk_layer(&mut b, layer, &cur);
+            cur = out;
         }
         b.finish()
     }
@@ -230,14 +236,12 @@ struct PassIds {
     pool_avg: u32,
 }
 
-/// A branch output waiting for the block-wide range (mirrors the
-/// executor's `Pending`).
-enum PendingEpochs {
-    /// Accumulators awaiting requantization: (slot count, acc buffer,
-    /// sub-layer name).
-    Acc(u64, u32, String),
-    /// Pooled codes awaiting code-to-code requantization.
-    Codes(u64, u32, String),
+/// A tensor of the walk (codes or accumulators): its shape and the host
+/// buffer that holds it (`None` for the model input and concatenated block
+/// outputs, which no epoch reads as a buffer).
+struct Tensor {
+    shape: Shape,
+    buffer: Option<u32>,
 }
 
 struct Builder {
@@ -332,76 +336,20 @@ impl Builder {
         self.epochs.push(epoch);
     }
 
-    fn layer(&mut self, layer: &Layer, input: Shape) -> Shape {
-        match layer {
-            Layer::Conv(conv) => {
-                let (out_shape, acc_buffer, total) = self.conv_accumulate(&conv.spec, input);
-                self.requant_epochs(&conv.spec.name, total, acc_buffer);
-                out_shape
-            }
-            Layer::Pool(pool) => self.pool_epoch(pool, input).0,
-            Layer::Mixed(block) => self.mixed(block, input),
-        }
-    }
-
-    /// MAC + assembly epoch, reduce barrier, ranging epoch — exactly the
-    /// executor's `conv_accumulate`. Returns the output shape, the
-    /// accumulator buffer id, and its slot count.
-    fn conv_accumulate(&mut self, spec: &ConvSpec, input: Shape) -> (Shape, u32, u64) {
-        let geom = conv_lane_geometry(spec);
-        let out_shape = spec.out_shape(input);
-        let positions = out_shape.h * out_shape.w;
-        let m = spec.m;
-        let runs = m.div_ceil(geom.groups_per_array(m)) as u32;
-        let mac_uses = runs * geom.arrays_per_filter as u32;
-        let total = (positions * m) as u64;
-        let acc_buffer = self.fresh_buffer();
-
-        let mut mac = Epoch::new(format!("{}/mac", spec.name), EpochKind::Mac);
-        mac.writes_buffer = Some(acc_buffer);
-        mac.out_slots = Some(total);
-        for pos in 0..positions as u64 {
-            let uses = vec![
-                self.checkout(self.ids.mac_reduce, mac_uses),
-                self.checkout(self.ids.assemble, m as u32),
-            ];
-            mac.shards.push(Shard {
-                uses,
-                write_slots: Some((pos * m as u64, (pos + 1) * m as u64)),
-                read_slots: None,
-                reserved_way: false,
-            });
-        }
-        self.push(mac);
-
-        // The join sealing the MAC epoch is THE inter-array reduce
-        // barrier: ranging needs every shard's accumulators.
-        let barrier = self.epochs.len() - 1;
-        let mut ranging = Epoch::new(format!("{}/ranging", spec.name), EpochKind::Ranging);
-        ranging.reads_buffer = Some(acc_buffer);
-        for chunk in 0..total.div_ceil(COLS as u64) {
-            let uses = vec![self.checkout(self.ids.ranging, 2)];
-            ranging.shards.push(Shard {
-                uses,
-                write_slots: None,
-                read_slots: Some((chunk * COLS as u64, total.min((chunk + 1) * COLS as u64))),
-                reserved_way: false,
-            });
-        }
-        self.push(ranging);
-        self.reduce_barriers.push(barrier);
-        (out_shape, acc_buffer, total)
-    }
-
-    /// Requantization epoch over `total` accumulator slots (pass 3).
-    fn requant_epochs(&mut self, name: &str, total: u64, acc_buffer: u32) -> u32 {
-        self.chunked_epoch(
+    /// Requantization epoch over `acc`'s slots (pass 3). Returns the
+    /// requantized tensor.
+    fn requant_epoch(&mut self, name: &str, acc: &Tensor) -> Tensor {
+        let buffer = self.chunked_epoch(
             format!("{name}/requant"),
             EpochKind::Requant,
             self.ids.requant,
-            total,
-            Some(acc_buffer),
-        )
+            acc.shape.len() as u64,
+            acc.buffer,
+        );
+        Tensor {
+            shape: acc.shape,
+            buffer: Some(buffer),
+        }
     }
 
     /// One shard per 256-slot chunk, each acquiring one array, reading the
@@ -433,11 +381,72 @@ impl Builder {
         self.push(epoch);
         out_buffer
     }
+}
+
+/// The executor's leaf passes as epochs: [`walk_layer`] sequences them
+/// exactly as it sequences the functional executor's dispatches.
+impl<'m> Passes<'m> for Builder {
+    type Act = Tensor;
+    type Acc = Tensor;
+    type Error = Infallible;
+
+    /// MAC + assembly epoch, reduce barrier, ranging epoch.
+    fn conv(&mut self, conv: &'m Conv2d, input: &Tensor) -> Result<Tensor, Infallible> {
+        let spec = &conv.spec;
+        let out_shape = spec.out_shape(input.shape);
+        let positions = out_shape.h * out_shape.w;
+        let m = spec.m as u64;
+        let (mac_arrays, assemble_arrays) = conv_lane_geometry(spec).mac_job_checkouts(spec.m);
+        let total = out_shape.len() as u64;
+        let acc_buffer = self.fresh_buffer();
+
+        let mut mac = Epoch::new(format!("{}/mac", spec.name), EpochKind::Mac);
+        mac.writes_buffer = Some(acc_buffer);
+        mac.out_slots = Some(total);
+        for pos in 0..positions as u64 {
+            let uses = vec![
+                self.checkout(self.ids.mac_reduce, mac_arrays as u32),
+                self.checkout(self.ids.assemble, assemble_arrays as u32),
+            ];
+            mac.shards.push(Shard {
+                uses,
+                write_slots: Some((pos * m, (pos + 1) * m)),
+                read_slots: None,
+                reserved_way: false,
+            });
+        }
+        self.push(mac);
+
+        // The join sealing the MAC epoch is THE inter-array reduce
+        // barrier: ranging needs every shard's accumulators.
+        let barrier = self.epochs.len() - 1;
+        let mut ranging = Epoch::new(format!("{}/ranging", spec.name), EpochKind::Ranging);
+        ranging.reads_buffer = Some(acc_buffer);
+        for chunk in 0..total.div_ceil(COLS as u64) {
+            let uses = vec![self.checkout(self.ids.ranging, 2)];
+            ranging.shards.push(Shard {
+                uses,
+                write_slots: None,
+                read_slots: Some((chunk * COLS as u64, total.min((chunk + 1) * COLS as u64))),
+                reserved_way: false,
+            });
+        }
+        self.push(ranging);
+        self.reduce_barriers.push(barrier);
+        Ok(Tensor {
+            shape: out_shape,
+            buffer: Some(acc_buffer),
+        })
+    }
+
+    fn requantize(&mut self, conv: &'m Conv2d, acc: Tensor) -> Result<Tensor, Infallible> {
+        Ok(self.requant_epoch(&conv.spec.name, &acc))
+    }
 
     /// Pooling epoch (windows are gathered host-side before dispatch, so
-    /// no modelled buffer read). Returns the output shape and buffer.
-    fn pool_epoch(&mut self, pool: &Pool2d, input: Shape) -> (Shape, u32) {
-        let out_shape = pool.out_shape(input);
+    /// no modelled buffer read).
+    fn pool(&mut self, pool: &'m Pool2d, input: &Tensor) -> Result<Tensor, Infallible> {
+        let shape = pool.out_shape(input.shape);
         let layout = match pool.kind {
             PoolKind::Max => self.ids.pool_max,
             PoolKind::Avg => self.ids.pool_avg,
@@ -446,74 +455,42 @@ impl Builder {
             format!("{}/pool", pool.name),
             EpochKind::Pool,
             layout,
-            out_shape.len() as u64,
+            shape.len() as u64,
             None,
         );
-        (out_shape, buffer)
+        Ok(Tensor {
+            shape,
+            buffer: Some(buffer),
+        })
     }
 
-    /// Mirrors the executor's `mixed`: every branch's epochs in branch
-    /// order, then the deferred (code-)requantizations in pending order
-    /// after the block-wide range.
-    fn mixed(&mut self, block: &MixedBlock, input: Shape) -> Shape {
-        let mut pending = Vec::new();
-        for branch in &block.branches {
-            self.branch(branch, input, &mut pending);
-        }
+    /// The deferred (code-)requantizations, in pending order, after the
+    /// block-wide range.
+    fn join(
+        &mut self,
+        _block: &'m MixedBlock,
+        pending: Vec<Pending<'m, Tensor, Tensor>>,
+    ) -> Result<Tensor, Infallible> {
+        let mut parts = Vec::with_capacity(pending.len());
         for p in pending {
-            match p {
-                PendingEpochs::Acc(total, buffer, name) => {
-                    self.requant_epochs(&name, total, buffer);
-                }
-                PendingEpochs::Codes(total, buffer, name) => {
+            parts.push(match p {
+                Pending::Conv(conv, acc) => self.requant_epoch(&conv.spec.name, &acc).shape,
+                Pending::Pool(pool, codes) => {
                     self.chunked_epoch(
-                        format!("{name}/code_requant"),
+                        format!("{}/code_requant", pool.name),
                         EpochKind::CodeRequant,
                         self.ids.code_requant,
-                        total,
-                        Some(buffer),
+                        codes.shape.len() as u64,
+                        codes.buffer,
                     );
+                    codes.shape
                 }
-            }
+            });
         }
-        block.out_shape(input)
-    }
-
-    fn branch(&mut self, branch: &Branch, input: Shape, pending: &mut Vec<PendingEpochs>) {
-        let mut cur = input;
-        let last = branch.ops.len() - 1;
-        for (i, op) in branch.ops.iter().enumerate() {
-            match op {
-                BranchOp::Pool(p) => {
-                    let (shape, buffer) = self.pool_epoch(p, cur);
-                    if i == last {
-                        pending.push(PendingEpochs::Codes(
-                            shape.len() as u64,
-                            buffer,
-                            p.name.clone(),
-                        ));
-                        return;
-                    }
-                    cur = shape;
-                }
-                BranchOp::Conv(c) => {
-                    let (shape, buffer, total) = self.conv_accumulate(&c.spec, cur);
-                    if i == last {
-                        pending.push(PendingEpochs::Acc(total, buffer, c.spec.name.clone()));
-                        return;
-                    }
-                    self.requant_epochs(&c.spec.name, total, buffer);
-                    cur = shape;
-                }
-                BranchOp::Split(convs) => {
-                    for c in convs {
-                        let (_, buffer, total) = self.conv_accumulate(&c.spec, cur);
-                        pending.push(PendingEpochs::Acc(total, buffer, c.spec.name.clone()));
-                    }
-                    return;
-                }
-            }
-        }
+        Ok(Tensor {
+            shape: concat_shapes(parts),
+            buffer: None,
+        })
     }
 }
 

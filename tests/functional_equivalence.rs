@@ -162,3 +162,42 @@ fn functional_executor_reports_cycle_work() {
         "cross-array transfers counted"
     );
 }
+
+#[test]
+fn op_spans_follow_the_shard_graph_epoch_by_epoch() {
+    // The executor and the shard-graph builder are two implementations of
+    // the same leaf passes over one walk: every `functional.op` span must
+    // be the dispatch of the shard graph's epoch at the same position.
+    use neural_cache_repro::cache::SparsityMode;
+    use neural_cache_repro::telemetry::{Level, Telemetry};
+    use neural_cache_repro::verify::shard::{EpochKind, ShardGraph};
+    for model in [tiny_cnn(5), mini_inception(3)] {
+        let epochs: Vec<EpochKind> = ShardGraph::from_model(&model)
+            .epochs
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        let input = random_input(model.input_shape, model.input_quant, 7);
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::from_threads(2),
+        ] {
+            let tel = Telemetry::enabled(Level::Detail);
+            functional::run_model_traced(&model, &input, engine, SparsityMode::Dense, &tel)
+                .expect("traced run");
+            let ops: Vec<EpochKind> = tel
+                .span_sequence("functional.op")
+                .iter()
+                .map(|op| match op.as_str() {
+                    "mac-reduce" => EpochKind::Mac,
+                    "ranging" => EpochKind::Ranging,
+                    "requantize" => EpochKind::Requant,
+                    "code-requant" => EpochKind::CodeRequant,
+                    "pool-max" | "pool-avg" => EpochKind::Pool,
+                    other => panic!("unknown op span {other}"),
+                })
+                .collect();
+            assert_eq!(ops, epochs, "{} on {engine:?}", model.name);
+        }
+    }
+}
