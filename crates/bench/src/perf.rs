@@ -424,7 +424,8 @@ pub fn compare_activation_sparsity(reps: usize) -> Vec<ActivationComparison> {
             let (inputs, input_ms) =
                 time_sparsity_runs(&model, &input, SparsityMode::SkipZeroInputs, reps);
             let (both, _) = time_sparsity_runs(&model, &input, SparsityMode::SkipBoth, reps);
-            let profile = activation_profile(&model, &input);
+            let profile =
+                activation_profile(&model, &input).expect("weighted model of the input shape");
             let (dense_mac, _) = timing_mac_cycles(&model, SparsityMode::Dense);
             ActivationComparison {
                 name,

@@ -590,7 +590,8 @@ mod tests {
         use nc_dnn::workload::{relu_sparse_conv_model, relu_sparse_input};
         let model = relu_sparse_conv_model(2);
         let input = relu_sparse_input(model.input_shape, 0.7, 2, 5);
-        let profile = activation_profile(&model, &input);
+        let profile =
+            activation_profile(&model, &input).expect("weighted model of the input shape");
         let dynamic = SystemConfig::with_sparsity(SparsityMode::SkipZeroInputs);
         let cost = BatchCostModel::with_profile(&dynamic, &model, &profile);
         assert!(

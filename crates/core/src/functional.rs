@@ -10,7 +10,10 @@
 //! 256-row budget of an 8KB array:
 //!
 //! 1. **MAC + reduce** — filters/inputs stream tap-by-tap into 8-row byte
-//!    regions; bit-serial multiply accumulates the per-lane partial sum
+//!    regions, on the lanes `mapping::LaneBytes` places them (one MAC
+//!    pass per [`crate::mapping::LaneGeometry::runs`] filter run; the
+//!    executor holds no lane arithmetic of its own); bit-serial
+//!    multiply accumulates the per-lane partial sum
 //!    (`S1`) and the zero-point-correction running sum (`S2`); the grouped
 //!    in-array reduction tree (and, for filters spanning two arrays, an
 //!    inter-array transfer + add) collapses channels.
@@ -49,6 +52,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use nc_dnn::quant::{branch_requantizer, conv_requant_plan, shared_out_quant, CodeRequant};
 use nc_dnn::reference::SublayerRecord;
@@ -61,7 +65,7 @@ use nc_telemetry::{Level, Telemetry, TrackId, Value};
 
 use crate::engine::{ExecutionEngine, ShardObserver};
 use crate::layout::{self, DUMP_ROW, ZERO_ROW};
-use crate::mapping::{chunk_filter, chunk_window_bytes, conv_lane_geometry};
+use crate::mapping::{conv_lane_geometry, LaneBytes, LaneGeometry};
 use crate::sparsity::SparsityMode;
 
 /// Result of a functional (bit-accurate) model execution.
@@ -463,35 +467,26 @@ impl Exec {
         let zp_a = i64::from(input.params().zero_point);
         let zp_w = u64::from(conv.w_quant.zero_point as u32);
         let n_taps = spec.macs_per_output() as i64;
-        let pad_y = pad_before(in_shape.h, spec.r, spec.stride, spec.padding) as isize;
-        let pad_x = pad_before(in_shape.w, spec.s, spec.stride, spec.padding) as isize;
 
-        // Lane geometry (Section IV-A packing/splitting) — the exact same
-        // computation the mapper plans with, so skip-fraction analysis on
-        // the mapping describes this executor's behavior precisely.
+        // Lane placement (Section IV-A packing/splitting/grouping) — the
+        // mapper's, so the skip predictors describe this executor exactly.
         let geom = conv_lane_geometry(spec);
 
-        // Per-filter static data: lane-chunked weight bytes, code sums and
-        // the per-channel constant C0.
-        let filter_lanes: Vec<Vec<Vec<u8>>> =
-            (0..spec.m).map(|m| chunk_filter(conv, m, &geom)).collect();
+        // Per-filter static data: placed weight bytes and the per-channel
+        // constant C0.
+        let filters = LaneBytes::filters(conv, &geom);
         let c0: Vec<i64> = (0..spec.m)
             .map(|m| {
                 -zp_a * conv.filter_code_sum(m) + n_taps * (zp_w as i64) * zp_a + conv.bias_of(m)
             })
             .collect();
 
-        let group_span = geom.group_span;
-        let arrays_per_filter = geom.arrays_per_filter;
-        let groups_per_array = geom.groups_per_array(spec.m);
-
         // Passes 1+2, sharded per output window: each job MACs and reduces
-        // every filter group against its window, then assembles the
+        // every filter run against its window, then assembles the
         // accumulators, on arrays drawn from the shared pool.
         let mode = self.mode;
         let positions = out_shape.h * out_shape.w;
-        let filter_lanes = &filter_lanes;
-        let c0 = &c0;
+        let (geom, filters, c0) = (&geom, &filters, &c0);
         #[cfg(debug_assertions)]
         let acquires_before = self.pool.stats().acquires;
         let mut acc_values = vec![0i64; out_shape.len()];
@@ -501,30 +496,15 @@ impl Exec {
             |pool, pos| {
                 let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
                 let mut cycles = CycleStats::new();
-                let mut window_bytes = vec![0u8; spec.r * spec.s * spec.c];
-                gather_window(input, spec, ey, ex, pad_y, pad_x, &mut window_bytes);
-                let input_lanes = chunk_window_bytes(&window_bytes, spec.c, &geom);
-
+                let window = LaneBytes::gather_window(input, spec, geom, ey, ex);
                 let mut vals = vec![0i64; spec.m];
-                let mut m = 0;
-                while m < spec.m {
-                    let group_count = groups_per_array.min(spec.m - m);
-                    let (s1s, s2s) = mac_reduce_run(
-                        pool,
-                        &mut cycles,
-                        &filter_lanes[m..m + group_count],
-                        &input_lanes,
-                        geom.eff_window,
-                        group_span,
-                        arrays_per_filter,
-                        mode,
-                    )?;
-                    for (g, (s1, s2)) in s1s.iter().zip(&s2s).enumerate() {
+                for run in geom.runs(spec.m) {
+                    let (s1s, s2s) =
+                        mac_reduce_run(pool, &mut cycles, geom, filters, &window, &run, mode)?;
+                    for (f, (s1, s2)) in run.zip(s1s.into_iter().zip(s2s)) {
                         // Pass 2: ACC assembly + fused ReLU, in-cache.
-                        vals[m + g] =
-                            assemble_acc(pool, &mut cycles, *s1, *s2, zp_w, c0[m + g], spec.relu)?;
+                        vals[f] = assemble_acc(pool, &mut cycles, s1, s2, zp_w, c0[f], spec.relu)?;
                     }
-                    m += group_count;
                 }
                 Ok((vals, cycles))
             },
@@ -780,19 +760,17 @@ impl<'m> Passes<'m> for Exec {
 // the cycles it consumed, so results fold deterministically in job order.
 // ----------------------------------------------------------------------
 
-/// One MAC+reduce run: `groups` filters (or one filter spanning
+/// One MAC+reduce run: the filters of `run` (or one filter spanning
 /// `arrays_per_filter` arrays) against one input window. Under
 /// [`SparsityMode::SkipZeroRows`] the weight operand is the multiplier and
 /// all-lanes-zero weight-bit rounds are elided (bit-identical products).
-#[allow(clippy::too_many_arguments)]
 fn mac_reduce_run(
     pool: &ArrayPool,
     cycles: &mut CycleStats,
-    filters: &[Vec<Vec<u8>>],
-    input_lanes: &[Vec<u8>],
-    eff_window: usize,
-    group_span: usize,
-    arrays_per_filter: usize,
+    geom: &LaneGeometry,
+    filters: &LaneBytes,
+    window: &LaneBytes,
+    run: &Range<usize>,
     mode: SparsityMode,
 ) -> Result<(Vec<u64>, Vec<u64>)> {
     // Row layout of the pass-1 array (all regions disjoint, 202 rows) —
@@ -800,37 +778,28 @@ fn mac_reduce_run(
     // the op sequences below.
     let mac = layout::MacReduceLayout::new();
 
-    let groups = filters.len();
-    let mut partial_arrays = Vec::with_capacity(arrays_per_filter);
+    let groups = run.len();
+    let mut partial_arrays = Vec::with_capacity(geom.arrays_per_filter);
 
-    for array_idx in 0..arrays_per_filter {
+    for a in 0..geom.arrays_per_filter {
         let mut arr = pool.acquire();
         *cycles += arr.zero(mac.partial)? + arr.zero(mac.s2sum)?;
 
-        // Lane slice handled by this array.
-        let lane_base = array_idx * COLS;
-
-        for t in 0..eff_window {
-            // Stream tap t of the filter and input bytes (loader path;
-            // transfer time is the movement model's concern).
-            for (g, chunks) in filters.iter().enumerate() {
-                for l in 0..group_span {
-                    let lane = g * group_span + l;
-                    let byte = chunks.get(lane_base + l).map_or(0, |c| c[t]);
-                    arr.poke_lane(lane, mac.filter_byte, u64::from(byte));
-                }
+        for t in 0..geom.eff_window {
+            // Stream tap t of the filter and input bytes onto the run's
+            // lanes (loader path; transfer time is the movement model's
+            // concern).
+            for (lane, &byte) in filters.run(run, a, t).iter().enumerate() {
+                arr.poke_lane(lane, mac.filter_byte, u64::from(byte));
             }
-            for l in 0..group_span {
-                let byte = input_lanes.get(lane_base + l).map_or(0, |c| c[t]);
-                for g in 0..groups {
-                    arr.poke_lane(g * group_span + l, mac.input_byte, u64::from(byte));
-                }
+            for (lane, byte) in window.copied(run, a, t).enumerate() {
+                arr.poke_lane(lane, mac.input_byte, u64::from(byte));
             }
             // S1 += w * x ; S2 += x — all lanes in parallel, with the
             // mode's multiplier/multiplicand roles.
             *cycles += mac.mac_tap(&mut *arr, mode)?;
         }
-        *cycles += mac.widen_and_reduce(&mut *arr, group_span, groups)?;
+        *cycles += mac.widen_and_reduce(&mut *arr, geom.group_span, groups)?;
         partial_arrays.push(arr);
     }
 
@@ -840,11 +809,12 @@ fn mac_reduce_run(
         *cycles += mac.fold_partner(&mut **partner, arr0)?;
     }
 
+    // Each group's reduction tree leaves its sums on the group's first lane.
     let mut s1s = Vec::with_capacity(groups);
     let mut s2s = Vec::with_capacity(groups);
     for g in 0..groups {
-        s1s.push(arr0.peek_lane(g * group_span, mac.seg_a));
-        s2s.push(arr0.peek_lane(g * group_span, mac.s2_a));
+        s1s.push(arr0.peek_lane(g * geom.group_span, mac.seg_a));
+        s2s.push(arr0.peek_lane(g * geom.group_span, mac.s2_a));
     }
     Ok((s1s, s2s))
 }
@@ -1019,34 +989,6 @@ fn pool_avg_chunk(
         *byte = arr.peek_lane(lane, q_op) as u8;
     }
     Ok((out, cycles))
-}
-
-// ----------------------------------------------------------------------
-// Window gathering (lane chunking lives in `crate::mapping`)
-// ----------------------------------------------------------------------
-
-/// Gathers one padded input window in the same (r, s, c) order as the
-/// reference executor, then regroups it channel-major for lane chunking.
-fn gather_window(
-    input: &QTensor,
-    spec: &nc_dnn::ConvSpec,
-    ey: usize,
-    ex: usize,
-    pad_y: isize,
-    pad_x: isize,
-    out: &mut [u8],
-) {
-    let oy = (ey * spec.stride) as isize - pad_y;
-    let ox = (ex * spec.stride) as isize - pad_x;
-    let mut idx = 0;
-    for r in 0..spec.r {
-        for s in 0..spec.s {
-            for c in 0..spec.c {
-                out[idx] = input.get_padded(oy + r as isize, ox + s as isize, c);
-                idx += 1;
-            }
-        }
-    }
 }
 
 fn clamp_to_bits(v: i64, bits: usize) -> i64 {
@@ -1271,9 +1213,21 @@ mod tests {
     fn executed_skips_match_the_analytical_prediction() {
         // The predicted-vs-executed cross-check: on a single-conv model the
         // skip fraction measured by sparsity::analyze on the mapper's lane
-        // packing must equal the executed counter ratio *exactly*.
-        for seed in [1u64, 8, 21] {
-            let model = nc_dnn::workload::pruned_conv_model(seed);
+        // packing must equal the executed counter ratio *exactly* — on the
+        // plain, the packed 1x1 (C = 40) and the cross-array (C = 300)
+        // placements.
+        let pruned = |k: (usize, usize), c: usize, seed: u64| {
+            let conv = random_conv("p", k, c, 4, 1, Padding::Valid, true, seed);
+            single_conv_model(
+                nc_dnn::workload::prune_conv(conv, 2, 0.5, seed),
+                Shape::new(3, 3, c),
+            )
+        };
+        let models = [1u64, 8, 21]
+            .map(|seed| (seed, nc_dnn::workload::pruned_conv_model(seed)))
+            .into_iter()
+            .chain([(13, pruned((1, 1), 40, 13)), (18, pruned((3, 3), 300, 18))]);
+        for (seed, model) in models {
             let input = random_input(model.input_shape, model.input_quant, seed + 100);
             let run = run_model_configured(
                 &model,
@@ -1307,7 +1261,8 @@ mod tests {
             for mode in [SparsityMode::SkipZeroInputs, SparsityMode::SkipBoth] {
                 let run = run_model_configured(&model, &input, ExecutionEngine::Sequential, mode)
                     .expect("dynamic run");
-                let profile = crate::sparsity::activation_profile(&model, &input);
+                let profile = crate::sparsity::activation_profile(&model, &input)
+                    .expect("weighted model of the input shape");
                 assert_eq!(
                     run.cycles.input_rounds_skipped,
                     profile.skippable_rounds(),

@@ -58,7 +58,7 @@ pub fn instruction_trace(plan: &LayerPlan) -> InstructionCounts {
         match unit {
             UnitPlan::Conv(c) => {
                 let rounds = c.rounds as u64;
-                let macs = rounds * c.eff_window as u64;
+                let macs = rounds * c.geom.eff_window as u64;
                 counts.multiply += macs;
                 counts.add += macs; // accumulate into the partial sum
                 counts.reduce += rounds * u64::from(c.reduce_steps + c.cross_array_steps);

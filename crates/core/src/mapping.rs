@@ -9,8 +9,10 @@
 //! example (`Conv2D_2b`: ~32K parallel convolutions, 43 serial rounds, 99.7%
 //! utilization) is reproduced by tests.
 
+use std::ops::Range;
+
 use nc_dnn::walk::Unit;
-use nc_dnn::{Conv2d, ConvSpec, Layer, Model, Pool2d, PoolKind, Shape};
+use nc_dnn::{pad_before, Conv2d, ConvSpec, Layer, Model, Pool2d, PoolKind, QTensor, Shape};
 use nc_geometry::CacheGeometry;
 use nc_sram::{COLS, ROWS};
 
@@ -32,9 +34,11 @@ pub const MAX_INPUT_BYTES_PER_LANE: usize = 16;
 
 /// The Section IV-A lane layout of one convolution sub-layer: how filter
 /// bytes are packed/split onto bit lines and how filters group within one
-/// 8KB array. This is the **single source of truth** shared by the planner,
-/// the functional executor, and the sparsity analysis — skip fractions are
-/// computed on exactly the packing the executor realizes.
+/// 8KB array. Together with [`LaneGeometry::runs`] and the crate's
+/// `LaneBytes` (the bytes each run's array holds per tap) this is the one
+/// statement of where every operand byte sits: the planner, the functional
+/// executor, the skip predictors in [`crate::sparsity`] and the `nc-verify`
+/// round count all read it from here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneGeometry {
     /// Channels packed per bit line (1 unless a 1x1 layer).
@@ -68,13 +72,37 @@ impl LaneGeometry {
         }
     }
 
+    /// The filter runs of a sub-layer with `m` output channels: consecutive
+    /// filter ranges of at most [`LaneGeometry::groups_per_array`] filters.
+    /// Each run is one MAC pass over `arrays_per_filter` arrays, its filters
+    /// side by side, one group of `group_span` lanes each.
+    pub fn runs(&self, m: usize) -> impl Iterator<Item = Range<usize>> {
+        let per_run = self.groups_per_array(m);
+        (0..m)
+            .step_by(per_run)
+            .map(move |first| first..(first + per_run).min(m))
+    }
+
     /// Pool checkouts of one output-window MAC job over `m` filters:
     /// `(runs × arrays_per_filter, m)` — the MAC+reduce arrays of every
     /// filter run, then one accumulator-assembly array per filter.
     #[must_use]
     pub fn mac_job_checkouts(&self, m: usize) -> (usize, usize) {
-        let runs = m.div_ceil(self.groups_per_array(m));
-        (runs * self.arrays_per_filter, m)
+        (self.runs(m).count() * self.arrays_per_filter, m)
+    }
+
+    /// Where byte `i` (window order `r*S + s`) of channel `c` sits:
+    /// `(array, lane within the group, tap)`. Packing puts `packing`
+    /// consecutive channels' single bytes on one lane; splitting spreads one
+    /// channel's window over `split` lanes of `eff_window` bytes; a filter
+    /// wider than one array continues on the next.
+    fn place(&self, c: usize, i: usize) -> (usize, usize, usize) {
+        let (lane, tap) = if self.packing > 1 {
+            (c / self.packing, c % self.packing)
+        } else {
+            (c * self.split + i / self.eff_window, i % self.eff_window)
+        };
+        (lane / self.group_span, lane % self.group_span, tap)
     }
 }
 
@@ -120,69 +148,114 @@ pub fn conv_lane_geometry(spec: &ConvSpec) -> LaneGeometry {
     }
 }
 
-/// Chunks filter `m`'s bytes into per-lane byte vectors of `eff_window`
-/// bytes under `geom`'s layout (packing compresses channels; splitting
-/// spreads large windows). This is the exact byte placement the functional
-/// executor streams tap-by-tap.
-///
-/// # Panics
-///
-/// Panics if the layer is shape-only.
-#[must_use]
-pub fn chunk_filter(conv: &Conv2d, m: usize, geom: &LaneGeometry) -> Vec<Vec<u8>> {
-    let spec = &conv.spec;
-    let mut per_channel: Vec<Vec<u8>> = vec![Vec::with_capacity(spec.window()); spec.c];
-    for r in 0..spec.r {
-        for s in 0..spec.s {
-            for (c, bytes) in per_channel.iter_mut().enumerate() {
-                bytes.push(conv.weight(m, r, s, c));
-            }
-        }
-    }
-    chunk_channel_major(&per_channel, geom)
+/// One operand's bytes as the arrays hold them under a [`LaneGeometry`]:
+/// for every array `a < arrays_per_filter` and tap `t < eff_window`, one row
+/// of lane bytes, `group_span` lanes per group (lanes past a filter's
+/// effective channels hold 0). [`LaneBytes::filters`] places a sub-layer's
+/// filters side by side, one group each; [`LaneBytes::gather_window`] places
+/// one input window on a single group, which every filter of a run shares.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LaneBytes {
+    geom: LaneGeometry,
+    /// Lanes per row: `groups × group_span`.
+    width: usize,
+    bytes: Vec<u8>,
 }
 
-/// Regroups an `(r, s, c)`-ordered input window into per-lane chunks
-/// matching [`chunk_filter`].
-#[must_use]
-pub fn chunk_window_bytes(window: &[u8], channels: usize, geom: &LaneGeometry) -> Vec<Vec<u8>> {
-    let taps = window.len() / channels;
-    let mut per_channel: Vec<Vec<u8>> = vec![Vec::with_capacity(taps); channels];
-    for (i, &b) in window.iter().enumerate() {
-        per_channel[i % channels].push(b);
+impl LaneBytes {
+    fn zeroed(geom: &LaneGeometry, groups: usize) -> Self {
+        let width = groups * geom.group_span;
+        LaneBytes {
+            geom: *geom,
+            width,
+            bytes: vec![0; geom.arrays_per_filter * geom.eff_window * width],
+        }
     }
-    chunk_channel_major(&per_channel, geom)
-}
 
-/// The shared chunking rule: packing places `packing` consecutive channels'
-/// single bytes on one lane; splitting spreads one channel's window across
-/// `split` lanes of `eff_window` bytes (zero-padded).
-fn chunk_channel_major(per_channel: &[Vec<u8>], geom: &LaneGeometry) -> Vec<Vec<u8>> {
-    let mut lanes = Vec::new();
-    if geom.packing > 1 {
-        for group in per_channel.chunks(geom.packing) {
-            let mut lane = Vec::with_capacity(geom.eff_window);
-            for ch in group {
-                lane.push(ch[0]);
-            }
-            lane.resize(geom.eff_window, 0);
-            lanes.push(lane);
-        }
-    } else {
-        for ch in per_channel {
-            for piece in 0..geom.split {
-                let mut lane: Vec<u8> = ch
-                    .iter()
-                    .copied()
-                    .skip(piece * geom.eff_window)
-                    .take(geom.eff_window)
-                    .collect();
-                lane.resize(geom.eff_window, 0);
-                lanes.push(lane);
-            }
-        }
+    fn put(&mut self, group: usize, channel: usize, i: usize, byte: u8) {
+        let g = &self.geom;
+        let (array, lane, tap) = g.place(channel, i);
+        self.bytes[(array * g.eff_window + tap) * self.width + group * g.group_span + lane] = byte;
     }
-    lanes
+
+    /// Every filter of `conv`, filter `f` on group `f`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer is shape-only.
+    #[must_use]
+    pub(crate) fn filters(conv: &Conv2d, geom: &LaneGeometry) -> Self {
+        let spec = &conv.spec;
+        let mut placed = LaneBytes::zeroed(geom, spec.m);
+        for f in 0..spec.m {
+            for r in 0..spec.r {
+                for s in 0..spec.s {
+                    for c in 0..spec.c {
+                        placed.put(f, c, r * spec.s + s, conv.weight(f, r, s, c));
+                    }
+                }
+            }
+        }
+        placed
+    }
+
+    /// Gathers output window `(ey, ex)` of `spec` over `input` onto one
+    /// group; padding taps hold the zero-point code.
+    #[must_use]
+    pub(crate) fn gather_window(
+        input: &QTensor,
+        spec: &ConvSpec,
+        geom: &LaneGeometry,
+        ey: usize,
+        ex: usize,
+    ) -> Self {
+        let in_shape = input.shape();
+        let pad_y = pad_before(in_shape.h, spec.r, spec.stride, spec.padding);
+        let pad_x = pad_before(in_shape.w, spec.s, spec.stride, spec.padding);
+        let oy = (ey * spec.stride) as isize - pad_y as isize;
+        let ox = (ex * spec.stride) as isize - pad_x as isize;
+        let mut placed = LaneBytes::zeroed(geom, 1);
+        for r in 0..spec.r {
+            for s in 0..spec.s {
+                for c in 0..spec.c {
+                    let byte = input.get_padded(oy + r as isize, ox + s as isize, c);
+                    placed.put(0, c, r * spec.s + s, byte);
+                }
+            }
+        }
+        placed
+    }
+
+    /// Every lane byte array `a` holds at tap `t`: lane `i` holds byte `i`.
+    #[must_use]
+    pub(crate) fn row(&self, a: usize, t: usize) -> &[u8] {
+        &self.bytes[(a * self.geom.eff_window + t) * self.width..][..self.width]
+    }
+
+    /// The lane bytes array `a` of filter run `run` holds at tap `t`: lane
+    /// `i` holds byte `i`; lanes past the run stay idle.
+    #[must_use]
+    pub(crate) fn run(&self, run: &Range<usize>, a: usize, t: usize) -> &[u8] {
+        let span = self.geom.group_span;
+        &self.row(a, t)[run.start * span..run.end * span]
+    }
+
+    /// A gathered window's bytes at array `a`, tap `t`, copied once per
+    /// filter of `run`: the `i`-th item is lane `i`'s byte.
+    pub(crate) fn copied(
+        &self,
+        run: &Range<usize>,
+        a: usize,
+        t: usize,
+    ) -> impl Iterator<Item = u8> + '_ {
+        let span = self.geom.group_span;
+        debug_assert_eq!(self.width, span, "only a one-group window is copied");
+        self.row(a, t)
+            .iter()
+            .copied()
+            .cycle()
+            .take(run.len() * span)
+    }
 }
 
 /// Word-line budget of one lane under the Figure 10 layout, extended with
@@ -238,20 +311,8 @@ pub struct ConvMapping {
     pub window: usize,
     /// Stride `U`.
     pub stride: usize,
-    /// Filter bytes per bit line after packing/splitting (`R'*S'`).
-    pub eff_window: usize,
-    /// Channels packed per bit line (1 unless a 1x1 layer).
-    pub packing: usize,
-    /// Filter split factor (1 unless `R*S > 9`).
-    pub split: usize,
-    /// Effective channels before power-of-two round-up (`C'`).
-    pub eff_channels: usize,
-    /// Bit lines per filter: effective channels rounded to a power of two.
-    pub lanes_per_filter: usize,
-    /// Arrays one filter spans (1 or 2 in Inception v3).
-    pub arrays_per_filter: usize,
-    /// Filter instances per 8KB array (when a filter fits one array).
-    pub filters_per_array: usize,
+    /// The Section IV-A lane layout (packing, splitting, filter grouping).
+    pub geom: LaneGeometry,
     /// Filter instances the whole cache computes per round.
     pub parallel_instances: usize,
     /// Serial rounds (`ceil(total_convs / parallel_instances)`).
@@ -323,10 +384,11 @@ impl ConvMapping {
     /// idle); scales bit-line switching energy.
     #[must_use]
     pub fn lane_occupancy(&self) -> f64 {
-        let busy = if self.arrays_per_filter == 1 {
-            self.filters_per_array * self.eff_channels
+        let g = &self.geom;
+        let busy = if g.arrays_per_filter == 1 {
+            g.filters_per_array * g.eff_channels
         } else {
-            self.eff_channels.div_ceil(self.arrays_per_filter)
+            g.eff_channels.div_ceil(g.arrays_per_filter)
         };
         (busy as f64 / nc_sram::COLS as f64).min(1.0)
     }
@@ -334,10 +396,11 @@ impl ConvMapping {
     /// Arrays active per round across the cache.
     #[must_use]
     pub fn active_arrays(&self) -> usize {
-        if self.arrays_per_filter == 1 {
-            self.parallel_instances.div_ceil(self.filters_per_array)
+        let g = &self.geom;
+        if g.arrays_per_filter == 1 {
+            self.parallel_instances.div_ceil(g.filters_per_array)
         } else {
-            self.parallel_instances * self.arrays_per_filter
+            self.parallel_instances * g.arrays_per_filter
         }
     }
 }
@@ -566,13 +629,7 @@ fn plan_conv_unit(
         out_shape,
         window,
         stride,
-        eff_window: geom.eff_window,
-        packing: geom.packing,
-        split: geom.split,
-        eff_channels: geom.eff_channels,
-        lanes_per_filter: geom.lanes_per_filter,
-        arrays_per_filter: geom.arrays_per_filter,
-        filters_per_array: geom.filters_per_array,
+        geom,
         parallel_instances,
         rounds,
         total_convs,
@@ -777,8 +834,8 @@ mod tests {
         let plans = plan_model(&inception_v3(), &xeon());
         let c = find_conv(&plans, "Conv2d_2b_3x3");
         assert_eq!(c.total_convs, 1_382_976);
-        assert_eq!(c.lanes_per_filter, 32);
-        assert_eq!(c.filters_per_array, 8);
+        assert_eq!(c.geom.lanes_per_filter, 32);
+        assert_eq!(c.geom.filters_per_array, 8);
         assert_eq!(c.parallel_instances, 32_256, "~32K parallel convolutions");
         assert_eq!(c.rounds, 43, "43 convolutions in series");
         assert!((c.utilization() - 0.997).abs() < 0.001, "99.7% utilization");
@@ -791,11 +848,11 @@ mod tests {
         let plans = plan_model(&inception_v3(), &xeon());
         // Mixed_7c b0: 1x1 over 2048 channels.
         let c = find_conv(&plans, "Mixed_7c/b0_1x1");
-        assert_eq!(c.packing, 16);
-        assert_eq!(c.eff_window, 16);
-        assert_eq!(c.lanes_per_filter, 128, "2048/16 channels per filter");
+        assert_eq!(c.geom.packing, 16);
+        assert_eq!(c.geom.eff_window, 16);
+        assert_eq!(c.geom.lanes_per_filter, 128, "2048/16 channels per filter");
         assert_eq!(
-            c.arrays_per_filter, 1,
+            c.geom.arrays_per_filter, 1,
             "packing keeps every filter within one array"
         );
     }
@@ -805,9 +862,9 @@ mod tests {
         let plans = plan_model(&inception_v3(), &xeon());
         let c = find_conv(&plans, "Mixed_5b/b1_5x5");
         assert_eq!(c.window, 25);
-        assert_eq!(c.split, 3, "25 bytes split into <=9-byte pieces");
-        assert_eq!(c.eff_window, 9);
-        assert_eq!(c.lanes_per_filter, (48 * 3usize).next_power_of_two());
+        assert_eq!(c.geom.split, 3, "25 bytes split into <=9-byte pieces");
+        assert_eq!(c.geom.eff_window, 9);
+        assert_eq!(c.geom.lanes_per_filter, (48 * 3usize).next_power_of_two());
     }
 
     #[test]
@@ -819,10 +876,10 @@ mod tests {
             for unit in &plan.units {
                 if let UnitPlan::Conv(c) = unit {
                     assert!(
-                        c.arrays_per_filter <= 2,
+                        c.geom.arrays_per_filter <= 2,
                         "{}: filter spans {} arrays",
                         c.name,
-                        c.arrays_per_filter
+                        c.geom.arrays_per_filter
                     );
                 }
             }

@@ -17,20 +17,30 @@
 //! - **oracle (per-lane)**: the lower bound if each lane could skip its own
 //!   zero multiplier bits (what a non-SIMD bit-serial machine gets);
 //! - **simd (all-lanes-zero rows)**: the rounds actually removable in
-//!   Neural Cache, measured on the **mapper's real lane packing**
-//!   ([`crate::mapping::conv_lane_geometry`] + [`crate::mapping::chunk_filter`]),
-//!   so the analytical skip fraction agrees exactly with the executed
+//!   Neural Cache, measured on the **executor's own lane placement**, read
+//!   from [`crate::mapping`] ([`crate::mapping::LaneGeometry::runs`] and the
+//!   placed bytes of `mapping::LaneBytes`), so the analytical skip fraction
+//!   agrees exactly with the executed
 //!   [`nc_sram::CycleStats::skipped_rounds`] counters.
+//!
+//! Every predictor folds one kind of value: the OR mask of a
+//! `(filter run, array, tap)` multiply's lane bytes. Zero bits count
+//! elidable rounds ([`conv_skip_profile`]), the OR across arrays gives the
+//! lockstep variant ([`conv_skip_variants`]), the highest set bit gives the
+//! live multiplicand width ([`conv_live_mult_bits`]), and the input-side
+//! masks of every gathered window give the activation profile
+//! ([`activation_profile`]). The predictors never touch an array, so the
+//! predicted-vs-executed tests compare two independent computations.
 //!
 //! All cycle arithmetic derives from the [`CostModel`] trait — the analysis
 //! can no longer drift from `cost.rs`.
 
 use nc_dnn::walk::Unit;
-use nc_dnn::{pad_before, reference, BranchOp, Conv2d, Layer, Model, QTensor};
-use nc_sram::COLS;
+use nc_dnn::{reference, BranchOp, Conv2d, Layer, Model, QTensor};
 
 use crate::cost::{CostModel, DATA_BITS};
-use crate::mapping::{chunk_filter, chunk_window_bytes, conv_lane_geometry, LayerPlan, UnitPlan};
+use crate::functional::FunctionalError;
+use crate::mapping::{conv_lane_geometry, LaneBytes, LayerPlan, UnitPlan};
 
 /// Which multiplier-bit rounds the executors elide.
 ///
@@ -110,7 +120,7 @@ impl SkipProfile {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkipVariants {
     /// Per-bank-FSM (independent arrays) skip fraction: the rounds-weighted
-    /// mean over `(m-block, array)` groups. Equals
+    /// mean over `(filter run, array)` groups. Equals
     /// [`SkipProfile::fraction`].
     pub mean: f64,
     /// Lockstep-bank skip fraction: rounds elidable across **all** arrays
@@ -127,67 +137,44 @@ impl SkipVariants {
     }
 }
 
-/// Shared walk over the `(m-block, array, tap)` OR masks of a convolution's
-/// lane packing: returns the per-array totals plus the global (lockstep) OR
-/// per tap.
-fn skip_masks(conv: &Conv2d) -> (SkipProfile, SkipVariants) {
+/// The OR masks of a convolution's placed weight bytes, one per
+/// `(filter run, array, tap)` multiply in execution order: bit `j` of a
+/// mask is set iff round `(tap, j)` has a live 1 bit on some lane of that
+/// array. Returns the masks and the taps per array.
+fn weight_masks(conv: &Conv2d) -> (Vec<u8>, usize) {
     let spec = &conv.spec;
-    assert!(conv.weights.is_some(), "skip profile needs weights");
+    assert!(conv.weights.is_some(), "skip analysis needs weights");
     let geom = conv_lane_geometry(spec);
-    let groups_per_array = geom.groups_per_array(spec.m);
-
-    let mut skippable = 0u64;
-    let mut total = 0u64;
-    // Lockstep banks share one FSM: a round (tap, bit) is elidable only if
-    // zero across every array of every m-block, i.e. in the global OR.
-    let mut global_or = vec![0u8; geom.eff_window];
-    let mut m = 0;
-    while m < spec.m {
-        let group_count = groups_per_array.min(spec.m - m);
-        let filters: Vec<Vec<Vec<u8>>> = (m..m + group_count)
-            .map(|f| chunk_filter(conv, f, &geom))
-            .collect();
-        for array_idx in 0..geom.arrays_per_filter {
-            let lane_base = array_idx * COLS;
+    let filters = LaneBytes::filters(conv, &geom);
+    let mut masks = Vec::new();
+    for run in geom.runs(spec.m) {
+        for a in 0..geom.arrays_per_filter {
             for t in 0..geom.eff_window {
-                // OR of this tap's bytes over every live lane of the array:
-                // bit j of the mask set <=> round (t, j) has a live 1 bit.
-                let mut or_mask = 0u8;
-                for chunks in &filters {
-                    for l in 0..geom.group_span {
-                        or_mask |= chunks.get(lane_base + l).map_or(0, |lane| lane[t]);
-                    }
-                }
-                total += DATA_BITS as u64;
-                // DATA_BITS = 8 = u8::BITS: every zero bit of the OR mask
-                // is one elidable round.
-                skippable += u64::from(or_mask.count_zeros());
-                global_or[t] |= or_mask;
+                masks.push(or_mask(filters.run(&run, a, t)));
             }
         }
-        m += group_count;
     }
-    let profile = SkipProfile {
-        skippable_rounds: skippable,
-        total_rounds: total,
-    };
-    let lockstep_zeros: u64 = global_or.iter().map(|&m| u64::from(m.count_zeros())).sum();
-    let lockstep_total = (geom.eff_window * DATA_BITS) as u64;
-    let variants = SkipVariants {
-        mean: profile.fraction(),
-        lockstep: if lockstep_total == 0 {
-            0.0
-        } else {
-            lockstep_zeros as f64 / lockstep_total as f64
-        },
-    };
-    (profile, variants)
+    (masks, geom.eff_window)
+}
+
+/// OR of lane bytes: the bit-slices with a live 1 on some lane.
+fn or_mask(bytes: &[u8]) -> u8 {
+    bytes.iter().fold(0, |mask, &b| mask | b)
+}
+
+/// Round counts of multiplies with the given OR masks: `DATA_BITS` = 8 =
+/// `u8::BITS` rounds each, and every zero bit is one elidable round.
+fn zero_rounds(masks: &[u8]) -> SkipProfile {
+    SkipProfile {
+        skippable_rounds: masks.iter().map(|m| u64::from(m.count_zeros())).sum(),
+        total_rounds: (masks.len() * DATA_BITS) as u64,
+    }
 }
 
 /// Measures the SIMD skip profile of one convolution on the exact lane
-/// packing the mapper/executor realize: filters are chunked per lane
-/// ([`chunk_filter`]), grouped `groups_per_array` at a time, and a round
-/// `(m-block, array, tap, bit)` is elidable only when that bit is zero on
+/// placement the mapper/executor realize (`mapping::LaneBytes::filters`
+/// grouped by [`crate::mapping::LaneGeometry::runs`]): a round
+/// `(run, array, tap, bit)` is elidable only when that bit is zero on
 /// **every** live lane of the array.
 ///
 /// # Panics
@@ -195,18 +182,28 @@ fn skip_masks(conv: &Conv2d) -> (SkipProfile, SkipVariants) {
 /// Panics if the sub-layer is shape-only.
 #[must_use]
 pub fn conv_skip_profile(conv: &Conv2d) -> SkipProfile {
-    skip_masks(conv).0
+    zero_rounds(&weight_masks(conv).0)
 }
 
 /// Measures both skip-time variants (per-bank mean and lockstep
-/// max-over-arrays) of one convolution on its real lane packing.
+/// max-over-arrays) of one convolution on its real lane placement.
 ///
 /// # Panics
 ///
 /// Panics if the sub-layer is shape-only.
 #[must_use]
 pub fn conv_skip_variants(conv: &Conv2d) -> SkipVariants {
-    skip_masks(conv).1
+    let (masks, taps) = weight_masks(conv);
+    // Lockstep banks share one FSM: a round (tap, bit) is elidable only if
+    // zero across every array of every run, i.e. in the global OR.
+    let mut global_or = vec![0u8; taps];
+    for (i, &mask) in masks.iter().enumerate() {
+        global_or[i % taps] |= mask;
+    }
+    SkipVariants {
+        mean: zero_rounds(&masks).fraction(),
+        lockstep: zero_rounds(&global_or).fraction(),
+    }
 }
 
 /// Sparsity statistics of one convolution sub-layer's weights.
@@ -327,10 +324,10 @@ pub fn analyze(model: &Model) -> SparsityReport {
 
 /// Rounds-weighted mean of the **live multiplicand width** the control FSM
 /// schedules per executed round under [`SparsityMode::SkipBoth`]: for each
-/// `(m-block, array, tap)` multiply, the highest live weight bit-slice
-/// across the array's lanes (`8 - leading_zeros` of the OR mask), averaged
-/// over every multiply of the sub-layer on its real lane packing. The
-/// timing model prices executed rounds at `live + 2` cycles instead of
+/// `(run, array, tap)` multiply, the highest live weight bit-slice across
+/// the array's lanes (`8 - leading_zeros` of the OR mask), averaged over
+/// every multiply of the sub-layer on its real lane placement. The timing
+/// model prices executed rounds at `live + 2` cycles instead of
 /// `DATA_BITS + 2`.
 ///
 /// # Panics
@@ -338,44 +335,17 @@ pub fn analyze(model: &Model) -> SparsityReport {
 /// Panics if the sub-layer is shape-only.
 #[must_use]
 pub fn conv_live_mult_bits(conv: &Conv2d) -> f64 {
-    let spec = &conv.spec;
-    assert!(conv.weights.is_some(), "live-bit analysis needs weights");
-    let geom = conv_lane_geometry(spec);
-    let groups_per_array = geom.groups_per_array(spec.m);
-
-    let mut live_sum = 0u64;
-    let mut muls = 0u64;
-    let mut m = 0;
-    while m < spec.m {
-        let group_count = groups_per_array.min(spec.m - m);
-        let filters: Vec<Vec<Vec<u8>>> = (m..m + group_count)
-            .map(|f| chunk_filter(conv, f, &geom))
-            .collect();
-        for array_idx in 0..geom.arrays_per_filter {
-            let lane_base = array_idx * COLS;
-            for t in 0..geom.eff_window {
-                let mut or_mask = 0u8;
-                for chunks in &filters {
-                    for l in 0..geom.group_span {
-                        or_mask |= chunks.get(lane_base + l).map_or(0, |lane| lane[t]);
-                    }
-                }
-                live_sum += u64::from(8 - or_mask.leading_zeros());
-                muls += 1;
-            }
-        }
-        m += group_count;
+    let (masks, _) = weight_masks(conv);
+    if masks.is_empty() {
+        return DATA_BITS as f64;
     }
-    if muls == 0 {
-        DATA_BITS as f64
-    } else {
-        live_sum as f64 / muls as f64
-    }
+    let live_sum: u64 = masks.iter().map(|m| u64::from(8 - m.leading_zeros())).sum();
+    live_sum as f64 / masks.len() as f64
 }
 
 /// Measured input-activation round-skip opportunity of one convolution
 /// sub-layer on one **actual input tensor**, counted over the full
-/// execution (every output window, m-block, array and tap — unlike the
+/// execution (every output window, filter run, array and tap — unlike the
 /// per-window [`SkipProfile`], activations differ per window, so there is
 /// no repeating schedule to factor out).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -472,20 +442,37 @@ impl ActivationProfile {
 }
 
 /// Measures the dynamic input-bit skip opportunity of every convolution
-/// sub-layer of `model` on one actual `input`, replaying the mapper's real
-/// lane packing ([`chunk_window_bytes`] over the executor's exact window
-/// gathering) on every intermediate activation tensor. Intermediates come
-/// from the [`nc_dnn::reference`] golden executor, which the functional
-/// executor matches bit for bit — so the profile predicts the executed
+/// sub-layer of `model` on one actual `input`: every intermediate window is
+/// placed exactly as the executor streams it
+/// (`mapping::LaneBytes::gather_window`). Intermediates come from the
+/// [`nc_dnn::reference`] golden executor, which the functional executor
+/// matches bit for bit — so the profile predicts the executed
 /// [`nc_sram::CycleStats::input_rounds_skipped`] counters **exactly**.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the model is shape-only or the input shape mismatches.
-#[must_use]
-pub fn activation_profile(model: &Model, input: &QTensor) -> ActivationProfile {
-    assert!(model.has_weights(), "activation profiling needs weights");
-    assert_eq!(input.shape(), model.input_shape, "input shape mismatch");
+/// Fails, like the executor, if the input shape is not the model's input
+/// shape or a convolution sub-layer lacks weights.
+pub fn activation_profile(
+    model: &Model,
+    input: &QTensor,
+) -> Result<ActivationProfile, FunctionalError> {
+    if input.shape() != model.input_shape {
+        return Err(FunctionalError::InputShape {
+            expected: model.input_shape,
+            actual: input.shape(),
+        });
+    }
+    if let Some(conv) = model
+        .layers
+        .iter()
+        .flat_map(Layer::conv_sublayers)
+        .find(|c| c.weights.is_none())
+    {
+        return Err(FunctionalError::MissingWeights {
+            name: conv.spec.name.clone(),
+        });
+    }
     let mut sublayers = Vec::new();
     let mut cur = input.clone();
     for layer in &model.layers {
@@ -520,62 +507,36 @@ pub fn activation_profile(model: &Model, input: &QTensor) -> ActivationProfile {
             }
         }
     }
-    ActivationProfile { sublayers }
+    Ok(ActivationProfile { sublayers })
 }
 
 /// One sub-layer's input-bit skip measurement: for every output window,
-/// regroup the padded window exactly as the executor streams it
-/// ([`chunk_window_bytes`]), OR each tap's bytes over every live lane of
-/// each array, and count the zero bits of the mask — each is one round the
-/// wired-NOR elides. M-blocks replicate the same input lanes, so their
-/// rounds multiply the count.
+/// place the window exactly as the executor streams it, OR each tap's bytes
+/// over the lanes of each array, and count the zero bits of the mask — each
+/// is one round the wired-NOR elides. Every filter run streams the same
+/// window, so the runs multiply the count.
 fn profile_conv(conv: &Conv2d, input: &QTensor) -> ActivationStats {
     let spec = &conv.spec;
-    let in_shape = input.shape();
-    let out_shape = spec.out_shape(in_shape);
+    let out_shape = spec.out_shape(input.shape());
     let geom = conv_lane_geometry(spec);
-    let groups_per_array = geom.groups_per_array(spec.m);
-    let m_blocks = spec.m.div_ceil(groups_per_array) as u64;
-    let pad_y = pad_before(in_shape.h, spec.r, spec.stride, spec.padding) as isize;
-    let pad_x = pad_before(in_shape.w, spec.s, spec.stride, spec.padding) as isize;
-
-    let mut skippable = 0u64;
-    let mut total = 0u64;
-    let mut window = vec![0u8; spec.r * spec.s * spec.c];
+    let mut masks = Vec::new();
     for ey in 0..out_shape.h {
         for ex in 0..out_shape.w {
-            // The executor's exact (r, s, c) window gathering, padding
-            // included (padding bytes hold the zero-point code).
-            let oy = (ey * spec.stride) as isize - pad_y;
-            let ox = (ex * spec.stride) as isize - pad_x;
-            let mut idx = 0;
-            for r in 0..spec.r {
-                for s in 0..spec.s {
-                    for c in 0..spec.c {
-                        window[idx] = input.get_padded(oy + r as isize, ox + s as isize, c);
-                        idx += 1;
-                    }
-                }
-            }
-            let lanes = chunk_window_bytes(&window, spec.c, &geom);
-            for array_idx in 0..geom.arrays_per_filter {
-                let lane_base = array_idx * COLS;
+            let window = LaneBytes::gather_window(input, spec, &geom, ey, ex);
+            for a in 0..geom.arrays_per_filter {
                 for t in 0..geom.eff_window {
-                    let mut or_mask = 0u8;
-                    for l in 0..geom.group_span {
-                        or_mask |= lanes.get(lane_base + l).map_or(0, |lane| lane[t]);
-                    }
-                    total += DATA_BITS as u64;
-                    skippable += u64::from(or_mask.count_zeros());
+                    masks.push(or_mask(window.row(a, t)));
                 }
             }
         }
     }
+    let per_run = zero_rounds(&masks);
+    let runs = geom.runs(spec.m).count() as u64;
     let zp = input.params().zero_point.clamp(0, 255) as u8;
     ActivationStats {
         name: spec.name.clone(),
-        skippable_rounds: skippable * m_blocks,
-        total_rounds: total * m_blocks,
+        skippable_rounds: per_run.skippable_rounds * runs,
+        total_rounds: per_run.total_rounds * runs,
         zero_codes: input.data().iter().filter(|&&q| q == zp).count(),
         codes: input.data().len(),
     }
@@ -767,7 +728,8 @@ mod tests {
         // Mostly-zero, low-magnitude activations: most input-bit rounds
         // are elidable (the top 8 - keep_bits rounds always are).
         let sparse_in = relu_sparse_input(model.input_shape, 0.7, 2, 9);
-        let profile = activation_profile(&model, &sparse_in);
+        let profile =
+            activation_profile(&model, &sparse_in).expect("weighted model of the input shape");
         assert_eq!(profile.sublayers.len(), 1);
         assert!(
             profile.input_skip() >= 0.75,
@@ -788,7 +750,8 @@ mod tests {
         // all-zero bit-slice over a whole array of lanes is vanishingly
         // unlikely), which is what makes the detect pure overhead there.
         let dense_in = relu_sparse_input(model.input_shape, 0.0, 8, 9);
-        let dense_profile = activation_profile(&model, &dense_in);
+        let dense_profile =
+            activation_profile(&model, &dense_in).expect("weighted model of the input shape");
         assert!(dense_profile.input_skip() < 0.1);
         assert!(dense_profile.input_skip() < profile.input_skip());
     }
@@ -799,7 +762,8 @@ mod tests {
         use nc_geometry::CacheGeometry;
         let model = relu_sparse_conv_model(3);
         let input = relu_sparse_input(model.input_shape, 0.6, 3, 4);
-        let profile = activation_profile(&model, &input);
+        let profile =
+            activation_profile(&model, &input).expect("weighted model of the input shape");
         let geometry = CacheGeometry::xeon_e5_2697_v3();
         let mut plans =
             crate::mapping::plan_model_with(&model, &geometry, SparsityMode::SkipZeroInputs);
@@ -846,11 +810,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs weights")]
     fn activation_profile_rejects_shape_only_models() {
         let model = nc_dnn::inception::inception_v3();
         let input = nc_dnn::workload::random_input(model.input_shape, model.input_quant, 1);
-        let _ = activation_profile(&model, &input);
+        let err = activation_profile(&model, &input).unwrap_err();
+        assert!(matches!(err, FunctionalError::MissingWeights { .. }));
+        assert!(err.to_string().contains("weights"));
+    }
+
+    #[test]
+    fn activation_profile_rejects_a_wrong_input_shape() {
+        let model = tiny_cnn(5);
+        let mut shape = model.input_shape;
+        shape.w += 1;
+        let input = nc_dnn::workload::random_input(shape, model.input_quant, 1);
+        assert_eq!(
+            activation_profile(&model, &input).unwrap_err(),
+            FunctionalError::InputShape {
+                expected: model.input_shape,
+                actual: shape,
+            }
+        );
     }
 
     #[test]

@@ -375,7 +375,7 @@ pub fn time_layer(config: &SystemConfig, plan: &LayerPlan, first_layer: bool) ->
                     .clamp(1, config.geometry.compute_ways());
                 let row_bytes = nc_sram::COLS / 8;
                 let bytes_per_round = ways_active as f64
-                    * (c.eff_window * crate::cost::DATA_BITS * row_bytes) as f64
+                    * (c.geom.eff_window * crate::cost::DATA_BITS * row_bytes) as f64
                     * c.fresh_input_fraction
                     * INPUT_DELIVERY_SERIALIZATION;
                 let in_bytes = (c.rounds as f64 * bytes_per_round).ceil() as usize;
@@ -490,7 +490,7 @@ struct ConvCycles {
 /// lockstep column mirrors the per-bank value.
 fn conv_cycles(cost: &dyn CostModelRef, c: &ConvMapping) -> ConvCycles {
     let rounds = c.rounds as u64;
-    let serial_macs = rounds * c.eff_window as u64;
+    let serial_macs = rounds * c.geom.eff_window as u64;
     let mac_dense = serial_macs * cost.mac_cycles();
     let (mac, mac_lockstep, detect) = if c.dynamic_detect {
         let mac = (serial_macs as f64
@@ -562,7 +562,7 @@ use crate::cost::CostModel as CostModelRef;
 #[must_use]
 pub fn advised_trim_savings(c: &ConvMapping, budget: &crate::mapping::BitBudget) -> u64 {
     let rounds = c.rounds as u64;
-    let serial_macs = rounds * c.eff_window as u64;
+    let serial_macs = rounds * c.geom.eff_window as u64;
     let partial_trim =
         u64::from((crate::cost::PARTIAL_BITS as u32).saturating_sub(budget.partial_bits));
     let mult_trim = u64::from((crate::cost::DATA_BITS as u32).saturating_sub(budget.mult_bits));
@@ -805,7 +805,8 @@ mod tests {
         // A measured ReLU-sparse input yields a *net* MAC speedup after
         // the detect charge.
         let sparse_in = relu_sparse_input(model.input_shape, 0.7, 2, 3);
-        let profile = activation_profile(&model, &sparse_in);
+        let profile =
+            activation_profile(&model, &sparse_in).expect("weighted model of the input shape");
         let profiled = time_inference_with_profile(&config, &model, &profile);
         let profiled_mac: u64 = profiled.layers.iter().map(|l| l.mac_cycles).sum();
         assert!(
@@ -815,7 +816,8 @@ mod tests {
         // A dense-activation input shows the break-even's other side: the
         // detect overhead makes the dynamic mode *slower* than dense.
         let dense_in = relu_sparse_input(model.input_shape, 0.0, 8, 3);
-        let dense_prof = activation_profile(&model, &dense_in);
+        let dense_prof =
+            activation_profile(&model, &dense_in).expect("weighted model of the input shape");
         let overhead = time_inference_with_profile(&config, &model, &dense_prof);
         let overhead_mac: u64 = overhead.layers.iter().map(|l| l.mac_cycles).sum();
         assert!(

@@ -37,15 +37,15 @@ proptest! {
         let UnitPlan::Conv(u) = &plan.units[0] else { panic!("expected conv") };
 
         prop_assert!(u.rows.fits(), "row budget: {}", u.rows.total());
-        prop_assert!(u.lanes_per_filter.is_power_of_two());
-        prop_assert!(u.arrays_per_filter <= 2 || r * s > 1,
+        prop_assert!(u.geom.lanes_per_filter.is_power_of_two());
+        prop_assert!(u.geom.arrays_per_filter <= 2 || r * s > 1,
             "1x1 layers always pack into one array");
         prop_assert!(u.rounds * u.parallel_instances >= u.total_convs,
             "schedule must cover all convolutions");
         let util = u.utilization();
         prop_assert!(util > 0.0 && util <= 1.0);
         // Packing/splitting conserve work: lane bytes cover the window.
-        prop_assert!(u.eff_window * u.eff_channels >= r * s * c);
+        prop_assert!(u.geom.eff_window * u.geom.eff_channels >= r * s * c);
         // Occupancy and active arrays are sane.
         prop_assert!(u.lane_occupancy() > 0.0 && u.lane_occupancy() <= 1.0);
         prop_assert!(u.active_arrays() <= geometry.compute_arrays());

@@ -6,13 +6,16 @@
 //! (`SkipZeroInputs`/`SkipBoth`) get the same treatment against ReLU-sparse
 //! activations: byte identity with detect-aware reconciliation, and executed
 //! input-skip counters equal to the `sparsity::activation_profile`
-//! prediction exactly.
+//! prediction exactly, and `SkipBoth`'s executed multiplicand truncation
+//! equal to the `sparsity::conv_live_mult_bits` prediction.
 
 use nc_dnn::workload::{
     prune_conv, random_conv, random_input, relu_act_quant, relu_sparse_input, single_conv_model,
 };
-use nc_dnn::{Padding, Shape};
+use nc_dnn::{Padding, QTensor, Shape};
+use neural_cache::cost::DATA_BITS;
 use neural_cache::functional::run_model_configured;
+use neural_cache::sparsity::conv_live_mult_bits;
 use neural_cache::{ExecutionEngine, SparsityMode};
 use proptest::prelude::*;
 
@@ -174,7 +177,8 @@ proptest! {
         let input = relu_sparse_input(
             model.input_shape, f64::from(zero_pct) / 10.0, act_bits, seed + 5,
         );
-        let profile = neural_cache::sparsity::activation_profile(&model, &input);
+        let profile = neural_cache::sparsity::activation_profile(&model, &input)
+            .expect("weighted model of the input shape");
         for mode in [SparsityMode::SkipZeroInputs, SparsityMode::SkipBoth] {
             let run = run_model_configured(
                 &model, &input, ExecutionEngine::Sequential, mode,
@@ -192,5 +196,44 @@ proptest! {
                 "executed {} vs predicted {}", executed, predicted
             );
         }
+    }
+
+    /// On an all-255 input no input-bit round is elidable, so every cycle
+    /// `SkipBoth` saves is static multiplicand truncation: executed
+    /// `skipped_cycles` equal `mul_rounds x (DATA_BITS - live)` with `live`
+    /// the `sparsity::conv_live_mult_bits` prediction (a mean over the
+    /// sub-layer's multiplies, hence the float tolerance).
+    #[test]
+    fn executed_truncation_matches_live_mult_bits(
+        r in 1usize..4,
+        s in 1usize..4,
+        c in 1usize..24,
+        m in 1usize..6,
+        keep_bits in 1u32..9,
+        zero_pct in 0u32..11,
+        seed in 0u64..1000,
+    ) {
+        let conv = prune_conv(
+            random_conv("prop", (r, s), c, m, 1, Padding::Valid, true, seed),
+            keep_bits,
+            f64::from(zero_pct) / 10.0,
+            seed + 3,
+        );
+        let live = conv_live_mult_bits(&conv);
+        let model = single_conv_model(conv, Shape::new(4, 4, c));
+        let input = QTensor::from_vec(
+            model.input_shape,
+            model.input_quant,
+            vec![255; model.input_shape.len()],
+        );
+        let run = run_model_configured(
+            &model, &input, ExecutionEngine::Sequential, SparsityMode::SkipBoth,
+        ).expect("skip-both run");
+        prop_assert_eq!(run.cycles.input_rounds_skipped, 0, "all-255 input elides nothing");
+        let predicted = run.cycles.mul_rounds as f64 * (DATA_BITS as f64 - live);
+        prop_assert!(
+            (run.cycles.skipped_cycles as f64 - predicted).abs() <= 1e-9 * predicted.max(1.0),
+            "executed {} vs predicted {}", run.cycles.skipped_cycles, predicted
+        );
     }
 }

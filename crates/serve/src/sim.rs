@@ -704,7 +704,8 @@ mod tests {
 
         let model = relu_sparse_conv_model(4);
         let input = relu_sparse_input(model.input_shape, 0.7, 2, 6);
-        let profile = activation_profile(&model, &input);
+        let profile =
+            activation_profile(&model, &input).expect("weighted model of the input shape");
         let system = SystemConfig::with_sparsity(SparsityMode::SkipZeroInputs);
         let cost = BatchCostModel::with_profile(&system, &model, &profile);
         assert!(cost.image_time_spread() > nc_geometry::SimTime::ZERO);

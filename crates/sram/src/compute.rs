@@ -158,8 +158,9 @@ impl ComputeArray {
     // ------------------------------------------------------------------
 
     /// Writes `value` into `lane`'s transposed operand without charging
-    /// cycles. Test-harness/loader convenience: timing for data placement is
-    /// accounted by the data-movement model, not per bit.
+    /// cycles. This is the loader path the functional executor stages every
+    /// operand through (and tests use to set up arrays): timing for data
+    /// placement is accounted by the data-movement model, not per bit.
     ///
     /// # Panics
     ///
@@ -188,8 +189,10 @@ impl ComputeArray {
         }
     }
 
-    /// Reads `lane`'s transposed operand without charging cycles
-    /// (test-harness convenience; result truncated to 64 bits).
+    /// Reads `lane`'s transposed operand without charging cycles (result
+    /// truncated to 64 bits). The functional executor reads every pass's
+    /// results out through it; like [`ComputeArray::poke_lane`], the
+    /// transfer is the data-movement model's to price.
     ///
     /// # Panics
     ///
@@ -207,7 +210,8 @@ impl ComputeArray {
     }
 
     /// Reads `lane`'s transposed operand as a sign-extended two's-complement
-    /// integer (test-harness convenience).
+    /// integer without charging cycles (the executor's read-out of signed
+    /// accumulators; see [`ComputeArray::peek_lane`]).
     ///
     /// # Panics
     ///
@@ -227,8 +231,9 @@ impl ComputeArray {
         }
     }
 
-    /// Writes a two's-complement value into `lane`'s operand (test-harness
-    /// convenience).
+    /// Writes a two's-complement value into `lane`'s operand without
+    /// charging cycles (the executor's staging of signed accumulators; see
+    /// [`ComputeArray::poke_lane`]).
     ///
     /// # Panics
     ///

@@ -75,7 +75,6 @@ pub mod report;
 pub mod shard;
 
 use nc_dnn::{Model, QTensor};
-use nc_sram::COLS;
 use neural_cache::batching::{BatchCostModel, DUMP_OVERLAP_EFFICIENCY};
 use neural_cache::cost::{CostModel, DerivedCostModel, DATA_BITS};
 use neural_cache::functional::{
@@ -314,12 +313,13 @@ pub fn check_dump_overlap(config: &SystemConfig, model: &Model) -> Vec<Diagnosti
 }
 
 /// Runs the functional executor under every sparsity mode (sequential and
-/// threaded) and reconciles the executed [`CycleStats`] against the static
-/// schedules (V010): dense executes zero elisions, every mode schedules
-/// the same statically predicted multiplier-round count, elided cycles
-/// reconcile exactly against dense, the dynamic detect charge equals the
-/// scheduled rounds, engines agree cycle-for-cycle, and outputs stay
-/// bit-identical across all of it.
+/// threaded) and reconciles the executed
+/// [`CycleStats`](nc_sram::CycleStats) against the static schedules
+/// (V010): dense executes zero elisions, every mode schedules the same
+/// statically predicted multiplier-round count, elided cycles reconcile
+/// exactly against dense, the dynamic detect charge equals the scheduled
+/// rounds, engines agree cycle-for-cycle, and outputs stay bit-identical
+/// across all of it.
 ///
 /// # Errors
 ///
@@ -508,10 +508,9 @@ pub fn check_executed_model(
 }
 
 /// The multiplier-round count the static plan schedules for one full
-/// inference: every convolution output position runs `ceil(m / groups)`
-/// MAC passes of `arrays_per_filter x eff_window` taps, each tap one
-/// 8-round bit-serial multiply — mirroring the executor's sharding
-/// exactly.
+/// inference: every convolution output position runs one MAC pass per
+/// filter run of the plan's lane geometry, of `arrays_per_filter x
+/// eff_window` taps, each tap one 8-round bit-serial multiply.
 #[must_use]
 pub fn predicted_mul_rounds(config: &SystemConfig, model: &Model) -> u64 {
     let mut rounds = 0u64;
@@ -519,17 +518,11 @@ pub fn predicted_mul_rounds(config: &SystemConfig, model: &Model) -> u64 {
         for unit in &plan.units {
             if let UnitPlan::Conv(c) = unit {
                 let positions = (c.out_shape.h * c.out_shape.w) as u64;
-                let m = c.out_shape.c;
-                let groups = if c.arrays_per_filter == 1 {
-                    (COLS / c.lanes_per_filter).min(m).max(1)
-                } else {
-                    1
-                };
-                let passes = m.div_ceil(groups) as u64;
+                let runs = c.geom.runs(c.out_shape.c).count() as u64;
                 rounds += positions
-                    * passes
-                    * c.arrays_per_filter as u64
-                    * c.eff_window as u64
+                    * runs
+                    * c.geom.arrays_per_filter as u64
+                    * c.geom.eff_window as u64
                     * DATA_BITS as u64;
             }
         }

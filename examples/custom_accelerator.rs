@@ -98,10 +98,10 @@ fn main() {
                 UnitPlan::Conv(c) => println!(
                     "{:<12} {:>5} {:>5} {:>6} {:>8} {:>10} {:>7} {:>6.1}",
                     c.name,
-                    c.packing,
-                    c.split,
-                    c.lanes_per_filter,
-                    c.filters_per_array,
+                    c.geom.packing,
+                    c.geom.split,
+                    c.geom.lanes_per_filter,
+                    c.geom.filters_per_array,
                     c.parallel_instances,
                     c.rounds,
                     100.0 * c.utilization()
