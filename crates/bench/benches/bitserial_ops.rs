@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the bit-serial SRAM operations (Section III): the
-//! simulator's throughput for the add/multiply/divide/reduce primitives and
-//! the TMU transpose path. These back the paper's bit-serial-throughput
-//! argument: one array operation serves 256 lanes at once.
+//! simulator's throughput for the add/multiply/divide/reduce primitives,
+//! the TMU transpose path, and the host-side operand staging (`load`: the
+//! bulk loader against a per-lane loop, and a grouped lane move). These
+//! back the paper's bit-serial-throughput argument: one array operation
+//! serves 256 lanes at once.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nc_sram::{ComputeArray, MicroOps, Operand, TransposeUnit, COLS};
@@ -88,6 +90,37 @@ fn bench_max(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_load(c: &mut Criterion) {
+    let mut g = c.benchmark_group("load");
+    g.throughput(Throughput::Bytes(COLS as u64));
+    let byte = Operand::new(0, 8).unwrap();
+    let bytes: Vec<u8> = (0..COLS).map(|lane| (lane * 37 % 251) as u8).collect();
+    g.bench_function("poke_lanes-256-bytes", |bench| {
+        let mut arr = ComputeArray::with_zero_row(255).unwrap();
+        bench.iter(|| arr.poke_lanes(byte, bytes.iter().map(|&b| u64::from(b))));
+    });
+    g.bench_function("poke_lane-loop-256-bytes", |bench| {
+        let mut arr = ComputeArray::with_zero_row(255).unwrap();
+        bench.iter(|| {
+            for (lane, &b) in bytes.iter().enumerate() {
+                arr.poke_lane(lane, byte, u64::from(b));
+            }
+        });
+    });
+    g.bench_function("move_lanes_grouped-32x8", |bench| {
+        // One reduction-tree step of eight 32-lane filter groups on a
+        // 32-bit segment: move the upper 16 lanes of each group down.
+        let (value, scratch) = (Operand::new(8, 32).unwrap(), Operand::new(40, 32).unwrap());
+        let mut arr = ComputeArray::with_zero_row(255).unwrap();
+        arr.poke_lanes(value, (0..COLS as u64).map(|lane| lane * 1000));
+        bench.iter(|| {
+            arr.move_lanes_grouped(value, scratch, 16, 16, 32, 8)
+                .unwrap()
+        });
+    });
+    g.finish();
+}
+
 fn bench_tmu(c: &mut Criterion) {
     let mut g = c.benchmark_group("tmu/transpose256bytes");
     g.throughput(Throughput::Bytes(256));
@@ -106,6 +139,7 @@ criterion_group!(
     bench_div,
     bench_reduce,
     bench_max,
+    bench_load,
     bench_tmu
 );
 criterion_main!(benches);

@@ -28,6 +28,17 @@
 //! spent MAC regions); the arithmetic performed is identical, and every
 //! step is a genuine `nc-sram` micro-op sequence.
 //!
+//! Every operand enters and leaves an array through the zero-cost bulk
+//! calls of [`ComputeArray`] (`poke_lanes`, `poke_slices`, `peek_lanes`
+//! and their signed twins), which move whole 64-lane words of each
+//! bit-slice row through one host-side transpose, as the transpose memory
+//! unit of Section III-F delivers them; the data-movement model, not the
+//! loader, prices the transfer. Pass 1 transposes each filter run's bytes
+//! into [`BitSlices`] once per sub-layer (they are stationary across
+//! windows) and each window's bytes once per window, then copies the
+//! window's slices to the lanes of every filter in a run with
+//! [`BitSlices::repeat`].
+//!
 //! ## Sharding
 //!
 //! The hardware runs thousands of arrays in lockstep; the simulator mirrors
@@ -60,7 +71,10 @@ use nc_dnn::walk::{walk_layer, Passes, Pending};
 use nc_dnn::{
     pad_before, ActQuant, Conv2d, MixedBlock, Model, Pool2d, PoolKind, QTensor, Requantizer, Shape,
 };
-use nc_sram::{ArrayPool, ArrayTimings, ComputeArray, CycleStats, MicroOps, SramError, COLS};
+use nc_sram::{
+    ArrayPool, ArrayTimings, BitSlices, ComputeArray, CycleStats, MicroOps, Operand, SramError,
+    COLS,
+};
 use nc_telemetry::{Level, Telemetry, TrackId, Value};
 
 use crate::engine::{ExecutionEngine, ShardObserver};
@@ -472,9 +486,14 @@ impl Exec {
         // mapper's, so the skip predictors describe this executor exactly.
         let geom = conv_lane_geometry(spec);
 
-        // Per-filter static data: placed weight bytes and the per-channel
-        // constant C0.
+        // Per-filter static data: the placed weight bytes of every filter
+        // run, transposed into bit slices once (they are stationary across
+        // windows), and the per-channel constant C0.
         let filters = LaneBytes::filters(conv, &geom);
+        let filters: Vec<Vec<BitSlices>> = geom
+            .runs(spec.m)
+            .map(|run| transpose_run(&filters, &geom, &run))
+            .collect();
         let c0: Vec<i64> = (0..spec.m)
             .map(|m| {
                 -zp_a * conv.filter_code_sum(m) + n_taps * (zp_w as i64) * zp_a + conv.bias_of(m)
@@ -497,8 +516,9 @@ impl Exec {
                 let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
                 let mut cycles = CycleStats::new();
                 let window = LaneBytes::gather_window(input, spec, geom, ey, ex);
+                let window = transpose_run(&window, geom, &(0..1));
                 let mut vals = vec![0i64; spec.m];
-                for run in geom.runs(spec.m) {
+                for (run, filters) in geom.runs(spec.m).zip(filters) {
                     let (s1s, s2s) =
                         mac_reduce_run(pool, &mut cycles, geom, filters, &window, &run, mode)?;
                     for (f, (s1, s2)) in run.zip(s1s.into_iter().zip(s2s)) {
@@ -760,16 +780,26 @@ impl<'m> Passes<'m> for Exec {
 // the cycles it consumed, so results fold deterministically in job order.
 // ----------------------------------------------------------------------
 
+/// The bytes `placed` holds for filter run `run` (a window's single group
+/// is run `0..1`), transposed into bit slices: one entry per `(array,
+/// tap)`, array-major, each holding the run's lanes of that tap.
+fn transpose_run(placed: &LaneBytes, geom: &LaneGeometry, run: &Range<usize>) -> Vec<BitSlices> {
+    let taps = (0..geom.arrays_per_filter).flat_map(|a| (0..geom.eff_window).map(move |t| (a, t)));
+    taps.map(|(a, t)| BitSlices::new(8, placed.run(run, a, t).iter().map(|&b| u64::from(b))))
+        .collect()
+}
+
 /// One MAC+reduce run: the filters of `run` (or one filter spanning
-/// `arrays_per_filter` arrays) against one input window. Under
+/// `arrays_per_filter` arrays) against one input window, both transposed
+/// per `(array, tap)` by [`transpose_run`]. Under
 /// [`SparsityMode::SkipZeroRows`] the weight operand is the multiplier and
 /// all-lanes-zero weight-bit rounds are elided (bit-identical products).
 fn mac_reduce_run(
     pool: &ArrayPool,
     cycles: &mut CycleStats,
     geom: &LaneGeometry,
-    filters: &LaneBytes,
-    window: &LaneBytes,
+    filters: &[BitSlices],
+    window: &[BitSlices],
     run: &Range<usize>,
     mode: SparsityMode,
 ) -> Result<(Vec<u64>, Vec<u64>)> {
@@ -787,14 +817,11 @@ fn mac_reduce_run(
 
         for t in 0..geom.eff_window {
             // Stream tap t of the filter and input bytes onto the run's
-            // lanes (loader path; transfer time is the movement model's
-            // concern).
-            for (lane, &byte) in filters.run(run, a, t).iter().enumerate() {
-                arr.poke_lane(lane, mac.filter_byte, u64::from(byte));
-            }
-            for (lane, byte) in window.copied(run, a, t).enumerate() {
-                arr.poke_lane(lane, mac.input_byte, u64::from(byte));
-            }
+            // lanes, the window's bytes copied once per filter (loader
+            // path; transfer time is the movement model's concern).
+            let tap = a * geom.eff_window + t;
+            arr.poke_slices(mac.filter_byte, &filters[tap]);
+            arr.poke_slices(mac.input_byte, &window[tap].repeat(groups));
             // S1 += w * x ; S2 += x — all lanes in parallel, with the
             // mode's multiplier/multiplicand roles.
             *cycles += mac.mac_tap(&mut *arr, mode)?;
@@ -810,13 +837,15 @@ fn mac_reduce_run(
     }
 
     // Each group's reduction tree leaves its sums on the group's first lane.
-    let mut s1s = Vec::with_capacity(groups);
-    let mut s2s = Vec::with_capacity(groups);
-    for g in 0..groups {
-        s1s.push(arr0.peek_lane(g * geom.group_span, mac.seg_a));
-        s2s.push(arr0.peek_lane(g * geom.group_span, mac.s2_a));
-    }
-    Ok((s1s, s2s))
+    let lanes = groups.saturating_sub(1) * geom.group_span + 1;
+    let firsts = |op| -> Vec<u64> {
+        let sums = arr0.peek_lanes(op, lanes);
+        sums.into_iter()
+            .step_by(geom.group_span)
+            .take(groups)
+            .collect()
+    };
+    Ok((firsts(mac.seg_a), firsts(mac.s2_a)))
 }
 
 /// Assembles `ACC = S1 - zp_w*S2 + C0` in a 40-bit two's-complement
@@ -834,11 +863,11 @@ fn assemble_acc(
     let l = layout::AssembleLayout::new();
     let mut arr = pool.acquire();
 
-    arr.poke_lane(0, l.s1_op, s1);
-    arr.poke_lane(0, l.s2_op, s2);
-    arr.poke_lane_signed(0, l.c0_op, clamp_to_bits(c0, W));
+    arr.poke_lanes(l.s1_op, [s1]);
+    arr.poke_lanes(l.s2_op, [s2]);
+    arr.poke_lanes_signed(l.c0_op, [clamp_to_bits(c0, W)]);
     *cycles += l.assemble(&mut *arr, zp_w, relu)?;
-    Ok(arr.peek_lane_signed(0, l.t))
+    Ok(arr.peek_lanes_signed(l.t, 1)[0])
 }
 
 /// One 256-lane min/max ranging run over a chunk of accumulators.
@@ -851,14 +880,12 @@ fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<((i64, i64), CycleSt
     let mut max = i64::MIN;
     for want_max in [false, true] {
         let mut arr = pool.acquire();
-        for lane in 0..COLS {
-            // Idle lanes replicate the first value (neutral for both
-            // reductions).
-            let val = chunk.get(lane).copied().unwrap_or(chunk[0]);
-            arr.poke_lane(lane, l.v, (val + OFFSET) as u64);
-        }
+        // Idle lanes replicate the first value (neutral for both
+        // reductions).
+        let vals = (0..COLS).map(|lane| chunk.get(lane).copied().unwrap_or(chunk[0]));
+        arr.poke_lanes(l.v, vals.map(|val| (val + OFFSET) as u64));
         cycles += l.tree(&mut *arr, want_max, COLS)?;
-        let extreme = arr.peek_lane(0, l.v) as i64 - OFFSET;
+        let extreme = arr.peek_lanes(l.v, 1)[0] as i64 - OFFSET;
         if want_max {
             max = max.max(extreme);
         } else {
@@ -876,20 +903,14 @@ fn requant_chunk(
 ) -> Result<(Vec<u8>, CycleStats)> {
     let l = layout::RequantLayout::new();
     let mut arr = pool.acquire();
-    for (lane, &v) in chunk.iter().enumerate() {
-        arr.poke_lane_signed(lane, l.d_op, clamp_to_bits(v, 40));
-    }
+    arr.poke_lanes_signed(l.d_op, chunk.iter().map(|&v| clamp_to_bits(v, 40)));
     let (cycles, q_op) = l.requantize(
         &mut *arr,
         requant.acc_min,
         requant.multiplier,
         requant.shift,
     )?;
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, q_op) as u8;
-    }
-    Ok((out, cycles))
+    Ok((read_bytes(&arr, q_op, chunk.len()), cycles))
 }
 
 /// One 256-code code-to-code requantization array run.
@@ -903,9 +924,7 @@ fn code_requant_chunk(
 
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    for (lane, &q) in chunk.iter().enumerate() {
-        arr.poke_lane(lane, q_in, u64::from(q));
-    }
+    arr.poke_lanes(q_in, chunk.iter().map(|&q| u64::from(q)));
     cycles += arr.mul_scalar(q_in, m_abs, prod)?;
     // m is non-negative for real scale ratios; fold c (possibly negative)
     // as a two's-complement scalar add.
@@ -914,11 +933,7 @@ fn code_requant_chunk(
     let shifted = prod.slice(map.sh as usize, 16)?;
     cycles += arr.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
     let q_op = shifted.slice(0, 8)?;
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, q_op) as u8;
-    }
-    Ok((out, cycles))
+    Ok((read_bytes(&arr, q_op, chunk.len()), cycles))
 }
 
 /// Max pooling over one 256-lane chunk: running max via subtract / MSB
@@ -933,23 +948,15 @@ fn pool_max_chunk(
 
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    for (lane, w) in chunk.iter().enumerate() {
-        arr.poke_lane(lane, acc, u64::from(w[0]));
-    }
+    arr.poke_lanes(acc, chunk.iter().map(|w| u64::from(w[0])));
     for i in 1..max_window {
-        for (lane, w) in chunk.iter().enumerate() {
-            // Short windows (image edges) repeat their first element,
-            // which is a no-op for max.
-            let v = w.get(i).copied().unwrap_or(w[0]);
-            arr.poke_lane(lane, x, u64::from(v));
-        }
+        // Short windows (image edges) repeat their first element, which is
+        // a no-op for max.
+        let vals = chunk.iter().map(|w| w.get(i).copied().unwrap_or(w[0]));
+        arr.poke_lanes(x, vals.map(u64::from));
         cycles += arr.max_assign(acc, x, scratch, DUMP)?;
     }
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, acc) as u8;
-    }
-    Ok((out, cycles))
+    Ok((read_bytes(&arr, acc, chunk.len()), cycles))
 }
 
 /// Average pooling over one 256-lane chunk: bit-serial window sum, then
@@ -973,22 +980,20 @@ fn pool_avg_chunk(
     let mut arr = pool.acquire();
     cycles += arr.zero(sum)?;
     for i in 0..max_window {
-        for (lane, w) in chunk.iter().enumerate() {
-            let v = w.get(i).copied().unwrap_or(0);
-            arr.poke_lane(lane, x, u64::from(v));
-        }
+        let vals = chunk.iter().map(|w| w.get(i).copied().unwrap_or(0));
+        arr.poke_lanes(x, vals.map(u64::from));
         cycles += arr.add_assign(sum, x)?;
     }
-    for (lane, w) in chunk.iter().enumerate() {
-        arr.poke_lane(lane, den, w.len() as u64);
-    }
+    arr.poke_lanes(den, chunk.iter().map(|w| w.len() as u64));
     cycles += arr.div(sum, den, quot, rem, trial, notden)?;
     let q_op = quot.slice(0, 8)?;
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, q_op) as u8;
-    }
-    Ok((out, cycles))
+    Ok((read_bytes(&arr, q_op, chunk.len()), cycles))
+}
+
+/// Reads an 8-bit result operand out of lanes `0..lanes`.
+fn read_bytes(arr: &ComputeArray, q_op: Operand, lanes: usize) -> Vec<u8> {
+    let codes = arr.peek_lanes(q_op, lanes);
+    codes.into_iter().map(|q| q as u8).collect()
 }
 
 fn clamp_to_bits(v: i64, bits: usize) -> i64 {

@@ -239,23 +239,6 @@ impl LaneBytes {
         let span = self.geom.group_span;
         &self.row(a, t)[run.start * span..run.end * span]
     }
-
-    /// A gathered window's bytes at array `a`, tap `t`, copied once per
-    /// filter of `run`: the `i`-th item is lane `i`'s byte.
-    pub(crate) fn copied(
-        &self,
-        run: &Range<usize>,
-        a: usize,
-        t: usize,
-    ) -> impl Iterator<Item = u8> + '_ {
-        let span = self.geom.group_span;
-        debug_assert_eq!(self.width, span, "only a one-group window is copied");
-        self.row(a, t)
-            .iter()
-            .copied()
-            .cycle()
-            .take(run.len() * span)
-    }
 }
 
 /// Word-line budget of one lane under the Figure 10 layout, extended with

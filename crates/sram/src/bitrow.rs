@@ -1,6 +1,7 @@
 //! A single 256-bit word line worth of data.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::{COLS, ROW_WORDS};
 
@@ -143,6 +144,117 @@ impl BitRow {
             out.words[i] = (self.words[i] & mask.words[i]) | (other.words[i] & !mask.words[i]);
         }
         out
+    }
+
+    /// Returns a row with columns `cols` set and every other column clear
+    /// (the part of the range past column 255 is dropped).
+    ///
+    /// ```
+    /// use nc_sram::BitRow;
+    /// let mask = BitRow::span(60..70);
+    /// assert_eq!(mask.count_ones(), 10);
+    /// assert!(mask.get(60) && mask.get(69) && !mask.get(70));
+    /// ```
+    #[must_use]
+    pub fn span(cols: Range<usize>) -> Self {
+        let mut row = BitRow::zero();
+        for (i, w) in row.words.iter_mut().enumerate() {
+            // The mask of this word's columns below column `n`.
+            let below = |n: usize| ((1u128 << n.saturating_sub(64 * i).min(64)) - 1) as u64;
+            *w = below(cols.end) & !below(cols.start);
+        }
+        row
+    }
+
+    /// Shifts every bit `cols` columns toward column 0: column `c` of the
+    /// result holds column `c + cols` of `self`, and the top `cols` columns
+    /// are clear.
+    ///
+    /// ```
+    /// use nc_sram::BitRow;
+    /// let row = BitRow::span(100..101).shift_down(37);
+    /// assert!(row.get(63) && row.count_ones() == 1);
+    /// ```
+    #[must_use]
+    #[inline]
+    pub fn shift_down(&self, cols: usize) -> BitRow {
+        let (skip, bits) = (cols / 64, cols % 64);
+        let word = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        let mut out = BitRow::zero();
+        for (i, w) in out.words.iter_mut().enumerate() {
+            // `<< 1 << (63 - bits)` is `<< (64 - bits)`, and 0 for bits == 0.
+            *w = (word(i + skip) >> bits) | (word(i + skip + 1) << 1 << (63 - bits));
+        }
+        out
+    }
+
+    /// Shifts every bit `cols` columns away from column 0: column
+    /// `c + cols` of the result holds column `c` of `self`, bits pushed past
+    /// column 255 are dropped, and the low `cols` columns are clear.
+    ///
+    /// ```
+    /// use nc_sram::BitRow;
+    /// let row = BitRow::span(63..64).shift_up(130);
+    /// assert!(row.get(193) && row.count_ones() == 1);
+    /// ```
+    #[must_use]
+    #[inline]
+    pub fn shift_up(&self, cols: usize) -> BitRow {
+        let (skip, bits) = (cols / 64, cols % 64);
+        let word = |i: Option<usize>| i.and_then(|i| self.words.get(i)).copied().unwrap_or(0);
+        let mut out = BitRow::zero();
+        for (i, w) in out.words.iter_mut().enumerate() {
+            let lo = i.checked_sub(skip);
+            // `>> 1 >> (63 - bits)` is `>> (64 - bits)`, and 0 for bits == 0.
+            *w = (word(lo) << bits) | (word(lo.and_then(|j| j.checked_sub(1))) >> 1 >> (63 - bits));
+        }
+        out
+    }
+
+    /// `copies` copies of `self` laid `stride` columns apart: the OR of
+    /// `self.shift_up(k * stride)` over `k < copies`.
+    ///
+    /// ```
+    /// use nc_sram::BitRow;
+    /// let groups = BitRow::span(0..2).repeat(10, 3);
+    /// assert_eq!(groups, BitRow::from_fn(|c| c < 30 && c % 10 < 2));
+    /// ```
+    #[must_use]
+    pub fn repeat(&self, stride: usize, copies: usize) -> BitRow {
+        // Binary doubling: `block` holds `2^k` copies spanning
+        // `2^k * stride` columns; the set bits of `copies` pick which
+        // blocks land, each past the ones already placed.
+        if copies <= 1 {
+            return if copies == 1 { *self } else { BitRow::zero() };
+        }
+        let mut out = BitRow::zero();
+        let (mut block, mut block_cols, mut placed_cols) = (*self, stride, 0);
+        let mut n = copies;
+        while n > 0 && placed_cols < COLS {
+            if n & 1 == 1 {
+                out = out.or(&block.shift_up(placed_cols));
+                placed_cols = placed_cols.saturating_add(block_cols);
+            }
+            n >>= 1;
+            if n > 0 {
+                block = block.or(&block.shift_up(block_cols));
+                block_cols = block_cols.saturating_mul(2);
+            }
+        }
+        out
+    }
+
+    /// The four 64-column words of the row, column 0 in bit 0 of word 0.
+    #[must_use]
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64; ROW_WORDS] {
+        &self.words
+    }
+
+    /// Mutable access to the four 64-column words (see [`BitRow::words`]).
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64; ROW_WORDS] {
+        &mut self.words
     }
 
     /// Number of set bits across all 256 columns.

@@ -7,8 +7,9 @@
 //! the cycle count of every high-level operation is the length of its
 //! micro-op sequence — derived, not asserted.
 
-use crate::ops::{MicroOps, LANE_MOVE_CYCLES_PER_ROW};
-use crate::{BitRow, CycleStats, Operand, Result, SramArray, SramError, COLS};
+use crate::ops::{check_lane_move, check_lane_write, MicroOps, LANE_MOVE_CYCLES_PER_ROW};
+use crate::transpose::{assert_fits, from_planes};
+use crate::{BitRow, BitSlices, CycleStats, Operand, Result, SramArray, SramError, COLS};
 
 /// Write-back predication mode for a compute cycle.
 ///
@@ -50,6 +51,11 @@ pub struct ComputeArray {
     tag: BitRow,
     zero_row: Option<usize>,
     stats: CycleStats,
+    /// The column-mux pattern of the latest lane move: its
+    /// `(lanes_per_group, group_stride, groups)` and the lanes it writes.
+    /// Every row of one grouped move shares it, so it is rebuilt only when
+    /// the geometry changes; it depends on no cell, so `reset` keeps it.
+    move_pattern: ((usize, usize, usize), BitRow),
 }
 
 impl ComputeArray {
@@ -62,6 +68,7 @@ impl ComputeArray {
             tag: BitRow::zero(),
             zero_row: None,
             stats: CycleStats::new(),
+            move_pattern: ((0, 0, 0), BitRow::zero()),
         }
     }
 
@@ -154,13 +161,23 @@ impl ComputeArray {
     }
 
     // ------------------------------------------------------------------
-    // Zero-cost test/loader accessors (no cycles charged; documented)
+    // Zero-cost loader accessors (no cycles charged; documented)
     // ------------------------------------------------------------------
+    //
+    // Timing for data placement is the data-movement model's to price, not
+    // the loader's, so none of these charges a cycle. The bulk calls
+    // (`poke_lanes`, `poke_slices`, `peek_lanes` and the signed twins) are
+    // the path the functional executor stages every operand through: they
+    // write or read whole 64-lane words of each bit-slice row through the
+    // transpose kernel, as the transpose memory unit of Section III-F
+    // delivers them. The single-lane calls (`poke_lane`, `peek_lane` and
+    // their signed twins) set up and inspect one lane in tests and
+    // examples, and are the reference the bulk calls are checked against.
 
     /// Writes `value` into `lane`'s transposed operand without charging
-    /// cycles. This is the loader path the functional executor stages every
-    /// operand through (and tests use to set up arrays): timing for data
-    /// placement is accounted by the data-movement model, not per bit.
+    /// cycles, one bit at a time: the single-lane test path (see
+    /// [`ComputeArray::poke_lanes`] for the bulk loader). Bits of the
+    /// operand past bit 63 are cleared.
     ///
     /// # Panics
     ///
@@ -168,19 +185,8 @@ impl ComputeArray {
     /// significant bits of `value`, or the operand overlaps the zero row.
     pub fn poke_lane(&mut self, lane: usize, op: Operand, value: u64) {
         assert!(lane < COLS, "lane {lane} out of range");
-        if op.bits() < 64 {
-            assert!(
-                value <= op.max_value(),
-                "value {value} does not fit in {} bits",
-                op.bits()
-            );
-        }
-        if let Some(z) = self.zero_row {
-            assert!(
-                !op.contains_row(z),
-                "operand {op} overlaps the zero row {z}"
-            );
-        }
+        assert_fits(value, op.bits());
+        self.check_loadable(op);
         for i in 0..op.bits() {
             let bit = if i < 64 { (value >> i) & 1 == 1 } else { false };
             self.array
@@ -189,10 +195,65 @@ impl ComputeArray {
         }
     }
 
+    /// Writes the `n` values of `values` into lanes `0..n` of the
+    /// transposed operand without charging cycles; lanes `n..` keep their
+    /// bits. Equivalent to `poke_lane(l, op, v)` for every `(l, v)`, but
+    /// transposes the values once ([`BitSlices::new`]) and stages whole
+    /// 64-lane words of each bit-slice row: this is the executor's loader.
+    ///
+    /// ```
+    /// use nc_sram::{ComputeArray, Operand};
+    ///
+    /// let mut array = ComputeArray::new();
+    /// let x = Operand::new(0, 8)?;
+    /// array.poke_lanes(x, (0..200).map(|l| l % 256));
+    /// assert_eq!(array.peek_lane(199, x), 199);
+    /// assert_eq!(array.peek_lanes(x, 3), vec![0, 1, 2]);
+    /// # Ok::<(), nc_sram::SramError>(())
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`ComputeArray::poke_lane`]:
+    /// more than 256 values, a value wider than the operand, or an operand
+    /// overlapping the zero row.
+    pub fn poke_lanes(&mut self, op: Operand, values: impl IntoIterator<Item = u64>) {
+        self.poke_slices(op, &BitSlices::new(op.bits(), values));
+    }
+
+    /// Writes already-transposed values into lanes `0..slices.lanes()` of
+    /// `op` without charging cycles; other lanes keep their bits, and rows
+    /// of the operand past `slices.bits()` are cleared on the written
+    /// lanes (the values are zero-extended). The executor transposes each
+    /// stationary filter byte once and stages it into every array that
+    /// needs it through this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices are wider than the operand or the operand
+    /// overlaps the zero row.
+    pub fn poke_slices(&mut self, op: Operand, slices: &BitSlices) {
+        assert!(
+            slices.bits() <= op.bits(),
+            "{} bit slices do not fit in {} bits",
+            slices.bits(),
+            op.bits()
+        );
+        self.check_loadable(op);
+        let lanes = BitRow::span(0..slices.lanes());
+        for i in 0..op.bits() {
+            let row = op.row(i);
+            let old = self.array.read_row(row).expect("validated operand");
+            let new = slices.rows().get(i).copied().unwrap_or_default();
+            self.array
+                .write_row(row, new.select(&old, &lanes))
+                .expect("validated operand");
+        }
+    }
+
     /// Reads `lane`'s transposed operand without charging cycles (result
-    /// truncated to 64 bits). The functional executor reads every pass's
-    /// results out through it; like [`ComputeArray::poke_lane`], the
-    /// transfer is the data-movement model's to price.
+    /// truncated to 64 bits), one bit at a time: the single-lane test path
+    /// (see [`ComputeArray::peek_lanes`] for the bulk read-out).
     ///
     /// # Panics
     ///
@@ -209,9 +270,29 @@ impl ComputeArray {
         value
     }
 
+    /// Reads lanes `0..lanes` of the transposed operand without charging
+    /// cycles (each truncated to 64 bits): `peek_lane(l, op)` for every
+    /// `l < lanes`, read out in whole 64-lane words. The functional
+    /// executor reads every pass's results out through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds 256.
+    #[must_use]
+    pub fn peek_lanes(&self, op: Operand, lanes: usize) -> Vec<u64> {
+        assert!(lanes <= COLS, "lane {} out of range", lanes - 1);
+        let mut planes = [BitRow::zero(); 64];
+        let planes = &mut planes[..op.bits().min(64)];
+        for (i, plane) in planes.iter_mut().enumerate() {
+            *plane = self.array.read_row(op.row(i)).expect("validated operand");
+        }
+        let mut values = [0; COLS];
+        from_planes(planes, lanes, &mut values);
+        values[..lanes].to_vec()
+    }
+
     /// Reads `lane`'s transposed operand as a sign-extended two's-complement
-    /// integer without charging cycles (the executor's read-out of signed
-    /// accumulators; see [`ComputeArray::peek_lane`]).
+    /// integer without charging cycles (see [`ComputeArray::peek_lane`]).
     ///
     /// # Panics
     ///
@@ -219,47 +300,57 @@ impl ComputeArray {
     /// bits.
     #[must_use]
     pub fn peek_lane_signed(&self, lane: usize, op: Operand) -> i64 {
-        assert!(op.bits() <= 64, "operand wider than 64 bits");
-        let raw = self.peek_lane(lane, op);
-        let bits = op.bits();
-        if bits == 64 {
-            raw as i64
-        } else if raw >> (bits - 1) & 1 == 1 {
-            (raw as i64) - (1i64 << bits)
-        } else {
-            raw as i64
-        }
+        sign_extend(self.peek_lane(lane, op), op)
+    }
+
+    /// Reads lanes `0..lanes` of the operand as sign-extended
+    /// two's-complement integers without charging cycles (the executor's
+    /// read-out of signed accumulators; see [`ComputeArray::peek_lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds 256 or the operand is wider than 64 bits.
+    #[must_use]
+    pub fn peek_lanes_signed(&self, op: Operand, lanes: usize) -> Vec<i64> {
+        let raw = self.peek_lanes(op, lanes);
+        raw.into_iter().map(|v| sign_extend(v, op)).collect()
     }
 
     /// Writes a two's-complement value into `lane`'s operand without
-    /// charging cycles (the executor's staging of signed accumulators; see
-    /// [`ComputeArray::poke_lane`]).
+    /// charging cycles (see [`ComputeArray::poke_lane`]).
     ///
     /// # Panics
     ///
     /// Panics if `value` does not fit in `op.bits()` two's-complement bits.
     pub fn poke_lane_signed(&mut self, lane: usize, op: Operand, value: i64) {
-        let bits = op.bits();
-        assert!(bits <= 64);
-        if bits < 64 {
-            let lo = -(1i64 << (bits - 1));
-            let hi = (1i64 << (bits - 1)) - 1;
-            assert!(
-                (lo..=hi).contains(&value),
-                "value {value} does not fit in {bits} signed bits"
-            );
-        }
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        self.poke_lane(lane, op, (value as u64) & mask);
+        self.poke_lane(lane, op, twos_complement(value, op));
+    }
+
+    /// Writes two's-complement values into lanes `0..n` of the operand
+    /// without charging cycles (the executor's staging of signed
+    /// accumulators; see [`ComputeArray::poke_lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value does not fit in `op.bits()` two's-complement bits,
+    /// or as [`ComputeArray::poke_lanes`] does.
+    pub fn poke_lanes_signed(&mut self, op: Operand, values: impl IntoIterator<Item = i64>) {
+        self.poke_lanes(op, values.into_iter().map(|v| twos_complement(v, op)));
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// The loader's operand check: the operand stays clear of the zero row.
+    fn check_loadable(&self, op: Operand) {
+        if let Some(z) = self.zero_row {
+            assert!(
+                !op.contains_row(z),
+                "operand {op} overlaps the zero row {z}"
+            );
+        }
+    }
 
     fn require_zero_row(&self) -> Result<usize> {
         self.zero_row.ok_or(SramError::MissingZeroRow)
@@ -471,17 +562,22 @@ impl MicroOps for ComputeArray {
         group_stride: usize,
         groups: usize,
     ) -> Result<()> {
+        check_lane_move(lane_shift, lanes_per_group, group_stride, groups)?;
         if self.zero_row == Some(dst_row) {
             return Err(SramError::ZeroRowClobbered { row: dst_row });
         }
         let source = self.array.read_row(src_row)?;
-        let mut target = self.array.read_row(dst_row)?;
-        for base in (0..groups).map(|g| g * group_stride) {
-            for lane in base..base + lanes_per_group {
-                target.set(lane, source.get(lane + lane_shift));
-            }
+        let target = self.array.read_row(dst_row)?;
+        let geometry = (lanes_per_group, group_stride, groups);
+        if self.move_pattern.0 != geometry {
+            let moved = BitRow::span(0..lanes_per_group).repeat(group_stride, groups);
+            self.move_pattern = (geometry, moved);
         }
-        self.array.write_row(dst_row, target)?;
+        let moved = self.move_pattern.1;
+        self.array.write_row(
+            dst_row,
+            source.shift_down(lane_shift).select(&target, &moved),
+        )?;
         self.stats.compute_cycles += LANE_MOVE_CYCLES_PER_ROW;
         Ok(())
     }
@@ -501,17 +597,46 @@ impl MicroOps for ComputeArray {
         lane_offset: usize,
         lanes: usize,
     ) -> Result<()> {
+        check_lane_write(lane_offset, lanes)?;
         if self.zero_row == Some(row) {
             return Err(SramError::ZeroRowClobbered { row });
         }
-        let mut target = self.array.read_row(row)?;
-        for lane in 0..lanes {
-            target.set(lane_offset + lane, value.get(lane));
-        }
-        self.array.write_row(row, target)?;
+        let target = self.array.read_row(row)?;
+        let written = BitRow::span(lane_offset..lane_offset + lanes);
+        self.array
+            .write_row(row, value.shift_up(lane_offset).select(&target, &written))?;
         self.tick_access();
         Ok(())
     }
+}
+
+/// `raw`, an `op.bits()`-bit two's-complement pattern, as an `i64`.
+fn sign_extend(raw: u64, op: Operand) -> i64 {
+    let bits = op.bits();
+    assert!(bits <= 64, "operand wider than 64 bits");
+    if bits == 64 {
+        raw as i64
+    } else if raw >> (bits - 1) & 1 == 1 {
+        (raw as i64) - (1i64 << bits)
+    } else {
+        raw as i64
+    }
+}
+
+/// `value`'s `op.bits()`-bit two's-complement pattern.
+fn twos_complement(value: i64, op: Operand) -> u64 {
+    let bits = op.bits();
+    assert!(bits <= 64);
+    if bits == 64 {
+        return value as u64;
+    }
+    let lo = -(1i64 << (bits - 1));
+    let hi = (1i64 << (bits - 1)) - 1;
+    assert!(
+        (lo..=hi).contains(&value),
+        "value {value} does not fit in {bits} signed bits"
+    );
+    (value as u64) & ((1u64 << bits) - 1)
 }
 
 impl Default for ComputeArray {
@@ -621,6 +746,26 @@ mod tests {
         );
         // Writing zeros through the access path is allowed (it stays zero).
         a.access_write_row(255, BitRow::zero()).unwrap();
+    }
+
+    #[test]
+    fn lane_moves_and_writes_past_the_last_bit_line_are_refused() {
+        let mut a = arr();
+        // Two groups of 100 lanes, stride 100, shifted by 57: the second
+        // group's source lanes end at column 257.
+        assert_eq!(
+            a.op_move_lanes(0, 1, 57, 100, 100, 2),
+            Err(SramError::ColOutOfRange { col: 257 })
+        );
+        assert_eq!(
+            a.access_write_lanes(1, &BitRow::ones(), 200, 57),
+            Err(SramError::ColOutOfRange { col: 257 })
+        );
+        assert_eq!(a.stats().total_cycles(), 0, "refused before any cycle");
+        assert!(a.cells().read_row(1).unwrap().is_zero());
+        a.op_move_lanes(0, 1, 56, 100, 100, 2).unwrap();
+        a.access_write_lanes(1, &BitRow::ones(), 200, 56).unwrap();
+        assert_eq!(a.cells().read_row(1).unwrap(), BitRow::span(200..256));
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!   constants are built from.
 //! - [`Operand`]: a transposed operand descriptor (base row + bit width).
 //! - [`TransposeUnit`]: the 8T-SRAM transpose memory unit (TMU) that converts
-//!   between bit-parallel and transposed layouts.
+//!   between bit-parallel and transposed layouts, and [`BitSlices`]: lane
+//!   values transposed on the host by the same kernel, ready to stage into
+//!   arrays.
 //! - [`stats`]: cycle statistics and the paper's per-cycle timing/energy
 //!   constants (1022 ps compute cycle, 15.4 pJ/compute cycle at 22 nm, ...).
 //! - [`area`]: the Figure-12 area model (7.5% array overhead, TMU and control
@@ -95,7 +97,7 @@ pub use pool::{ArrayPool, PoolStats, PooledArray};
 pub use schedule::{Schedule, Step, StepKind};
 pub use sram::SramArray;
 pub use stats::{ArrayEnergy, ArrayTimings, CycleStats, ValueStats};
-pub use transpose::{TransposeUnit, TMU_TILE_DIM};
+pub use transpose::{BitSlices, TransposeUnit, TMU_TILE_DIM};
 
 // Compile-time Send/Sync audit: sharded execution engines move arrays into
 // worker threads and share one pool between them, so these bounds are part

@@ -40,6 +40,50 @@ pub use transfer::copy_lanes_between;
 
 use crate::{BitRow, CycleStats, Operand, Predicate, Result, SramError, COLS};
 
+/// Checks that a lane move ([`MicroOps::op_move_lanes`]) reads and writes
+/// only lanes inside the array: every group's source lanes end by column
+/// 256. Both sinks apply it before touching a row.
+///
+/// # Errors
+///
+/// Returns [`SramError::ColOutOfRange`] with the (exclusive) end column of
+/// the last group's source lanes.
+pub(crate) fn check_lane_move(
+    lane_shift: usize,
+    lanes_per_group: usize,
+    group_stride: usize,
+    groups: usize,
+) -> Result<()> {
+    if groups == 0 || lanes_per_group == 0 {
+        return Ok(());
+    }
+    let end = (groups - 1)
+        .checked_mul(group_stride)
+        .and_then(|base| base.checked_add(lanes_per_group))
+        .and_then(|end| end.checked_add(lane_shift));
+    match end {
+        Some(end) if end <= COLS => Ok(()),
+        _ => Err(SramError::ColOutOfRange {
+            col: end.unwrap_or(usize::MAX),
+        }),
+    }
+}
+
+/// Checks that an access-path lane write
+/// ([`MicroOps::access_write_lanes`]) ends by column 256.
+///
+/// # Errors
+///
+/// Returns [`SramError::ColOutOfRange`] with the (exclusive) end column.
+pub(crate) fn check_lane_write(lane_offset: usize, lanes: usize) -> Result<()> {
+    match lane_offset.checked_add(lanes) {
+        Some(end) if end <= COLS => Ok(()),
+        end => Err(SramError::ColOutOfRange {
+            col: end.unwrap_or(usize::MAX),
+        }),
+    }
+}
+
 /// A sink for the micro-ops of one compute array, and every composite
 /// bit-serial operation built from them.
 ///
@@ -239,7 +283,10 @@ pub trait MicroOps {
     ///
     /// # Errors
     ///
-    /// Propagates row-range errors and refuses to clobber the zero row.
+    /// Returns [`SramError::ColOutOfRange`] when a group's source lanes
+    /// run past column 255 (`(groups - 1) * group_stride +
+    /// lanes_per_group + lane_shift > 256`), propagates row-range errors
+    /// and refuses to clobber the zero row.
     fn op_move_lanes(
         &mut self,
         src_row: usize,
@@ -264,7 +311,9 @@ pub trait MicroOps {
     ///
     /// # Errors
     ///
-    /// Propagates row-range errors and refuses to clobber the zero row.
+    /// Returns [`SramError::ColOutOfRange`] when `lane_offset + lanes`
+    /// exceeds 256, propagates row-range errors and refuses to clobber the
+    /// zero row.
     fn access_write_lanes(
         &mut self,
         row: usize,

@@ -11,9 +11,11 @@
 //!
 //! The recorder never refuses a micro-op for its rows: port overflows,
 //! out-of-range rows and zero-row clobbers are recorded as issued, so a
-//! checker can report them.
+//! checker can report them. Lanes are another matter: a lane move or
+//! access-path lane write that runs past the last bit line fails with
+//! [`SramError::ColOutOfRange`], as it does on the array.
 
-use crate::ops::{MicroOps, LANE_MOVE_CYCLES_PER_ROW};
+use crate::ops::{check_lane_move, check_lane_write, MicroOps, LANE_MOVE_CYCLES_PER_ROW};
 use crate::{BitRow, CycleStats, Predicate, Result, SramError, ROWS};
 
 /// Whether a cycle uses the compute path (two-row activation through the
@@ -250,12 +252,13 @@ impl MicroOps for Schedule {
         &mut self,
         src_row: usize,
         dst_row: usize,
-        _lane_shift: usize,
-        _lanes_per_group: usize,
-        _group_stride: usize,
-        _groups: usize,
+        lane_shift: usize,
+        lanes_per_group: usize,
+        group_stride: usize,
+        groups: usize,
     ) -> Result<()> {
         debug_assert_eq!(LANE_MOVE_CYCLES_PER_ROW, 2);
+        check_lane_move(lane_shift, lanes_per_group, group_stride, groups)?;
         self.compute(&[src_row], &[], "move_lanes/read")?;
         self.compute(&[dst_row], &[dst_row], "move_lanes/write")
     }
@@ -270,9 +273,10 @@ impl MicroOps for Schedule {
         &mut self,
         row: usize,
         _value: &BitRow,
-        _lane_offset: usize,
-        _lanes: usize,
+        lane_offset: usize,
+        lanes: usize,
     ) -> Result<()> {
+        check_lane_write(lane_offset, lanes)?;
         self.push(StepKind::Access, &[], &[row], "transfer/write")
     }
 }
@@ -322,6 +326,23 @@ mod tests {
             ComputeArray::new().not_region(x, y),
             Err(SramError::MissingZeroRow)
         );
+    }
+
+    #[test]
+    fn lane_moves_and_writes_past_the_last_bit_line_are_refused() {
+        let mut s = Schedule::new();
+        assert_eq!(
+            s.op_move_lanes(0, 1, 57, 100, 100, 2),
+            Err(SramError::ColOutOfRange { col: 257 })
+        );
+        assert_eq!(
+            s.access_write_lanes(1, &BitRow::ones(), 200, 57),
+            Err(SramError::ColOutOfRange { col: 257 })
+        );
+        assert!(s.steps.is_empty(), "nothing recorded");
+        s.op_move_lanes(0, 1, 56, 100, 100, 2).unwrap();
+        s.access_write_lanes(1, &BitRow::ones(), 200, 56).unwrap();
+        assert_eq!(s.steps.len(), 3);
     }
 
     #[test]

@@ -7,10 +7,184 @@
 //! horizontally and read out vertically as bit slices ready for the compute
 //! arrays — or vice versa when results leave the cache. A few TMUs placed in
 //! the cache-control box saturate the available interconnect bandwidth.
+//!
+//! The same layout change is what the simulator's host code does whenever
+//! it stages operands into a [`ComputeArray`](crate::ComputeArray) or reads
+//! them back, so the module also holds the one host-side transpose kernel
+//! both use: [`to_planes`] and [`from_planes`] convert between per-lane
+//! values and bit-slice rows eight lanes by eight bits at a time, through
+//! an 8×8 bit-matrix transpose of one `u64`.
 
 use std::fmt;
 
-use crate::{BitRow, CycleStats, Result, SramError, COLS};
+use crate::{BitRow, CycleStats, Result, SramError, COLS, ROWS};
+
+/// Transposes the 8×8 bit matrix held in `x` (byte `i` is row `i`, bit `j`
+/// of it column `j`): bit `8i + j` trades places with bit `8j + i`. Three
+/// delta swaps, after Hacker's Delight's `transpose8`.
+#[inline]
+const fn transpose8(x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    let x = x ^ t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    let x = x ^ t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Lane-values-to-bit-slices transpose: column `l < lanes` of `planes[i]`
+/// receives bit `i` of `values[l]`, and columns past `lanes` are clear.
+/// Bits of a value at or past `planes.len()` are dropped.
+///
+/// Each 64-lane word of the planes is built from eight groups of eight
+/// lanes: byte `k` of a group's values forms one 8×8 matrix whose
+/// transpose holds that group's eight lanes of planes `8k..8k + 8`, so the
+/// cost grows with the lanes and the planes asked for.
+pub(crate) fn to_planes(values: &[u64; COLS], lanes: usize, planes: &mut [BitRow]) {
+    assert!(lanes <= COLS && planes.len() <= 64);
+    for (w, word_lanes) in values.chunks_exact(64).enumerate() {
+        let groups = lanes.saturating_sub(64 * w).div_ceil(8).min(8);
+        for k in 0..planes.len().div_ceil(8) {
+            let mut slices = [0u64; 8];
+            for (g, group) in word_lanes.chunks_exact(8).take(groups).enumerate() {
+                let mut x = 0;
+                for (i, &v) in group.iter().enumerate() {
+                    x |= ((v >> (8 * k)) & 0xFF) << (8 * i);
+                }
+                let y = transpose8(x);
+                for (b, slice) in slices.iter_mut().enumerate() {
+                    *slice |= ((y >> (8 * b)) & 0xFF) << (8 * g);
+                }
+            }
+            for (plane, slice) in planes[8 * k..].iter_mut().zip(slices) {
+                plane.words_mut()[w] = slice;
+            }
+        }
+    }
+    let live = BitRow::span(0..lanes);
+    for plane in planes.iter_mut() {
+        *plane = plane.and(&live);
+    }
+}
+
+/// Bit-slices-to-lane-values transpose, the inverse of [`to_planes`]: bit
+/// `i` of `values[l]` is column `l` of `planes[i]` for `l < lanes`, and
+/// bits at or past `planes.len()` are clear. Entries past `lanes` are left
+/// as they were.
+pub(crate) fn from_planes(planes: &[BitRow], lanes: usize, values: &mut [u64; COLS]) {
+    assert!(lanes <= COLS && planes.len() <= 64);
+    for (w, word_lanes) in values.chunks_exact_mut(64).enumerate() {
+        let live = lanes.saturating_sub(64 * w).min(64);
+        for (g, group) in word_lanes[..live].chunks_mut(8).enumerate() {
+            let mut out = [0u64; 8];
+            for (k, planes_k) in planes.chunks(8).enumerate() {
+                let mut y = 0;
+                for (b, plane) in planes_k.iter().enumerate() {
+                    y |= ((plane.words()[w] >> (8 * g)) & 0xFF) << (8 * b);
+                }
+                let x = transpose8(y);
+                for (i, v) in out.iter_mut().enumerate() {
+                    *v |= ((x >> (8 * i)) & 0xFF) << (8 * k);
+                }
+            }
+            group.copy_from_slice(&out[..group.len()]);
+        }
+    }
+}
+
+/// The loader's value check: `value` fits in `bits` bits.
+pub(crate) fn assert_fits(value: u64, bits: usize) {
+    assert!(
+        bits >= 64 || value >> bits == 0,
+        "value {value} does not fit in {bits} bits"
+    );
+}
+
+/// Up to 256 lane values in transposed form: row `i` is the bit slice
+/// holding bit `i` of every lane, lane `l` on column `l`. This is the
+/// layout an operand takes in a compute array, computed once on the host
+/// so that it can be staged into any number of arrays with
+/// [`ComputeArray::poke_slices`](crate::ComputeArray::poke_slices).
+///
+/// ```
+/// use nc_sram::BitSlices;
+///
+/// let slices = BitSlices::new(4, [0b0011, 0b0101, 0b1000]);
+/// assert_eq!((slices.bits(), slices.lanes()), (4, 3));
+/// // Slice 0 holds bit 0 of each lane: 1, 1, 0.
+/// assert!(slices.rows()[0].get(0) && slices.rows()[0].get(1) && !slices.rows()[0].get(2));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitSlices {
+    rows: Vec<BitRow>,
+    lanes: usize,
+}
+
+impl BitSlices {
+    /// Transposes `values` (lane `l` takes the `l`-th) into `bits` bit
+    /// slices. Slices past bit 63 are clear, as are the columns past the
+    /// last value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than 256 values, `bits` exceeds the 256
+    /// word lines, or a value does not fit in `bits` bits.
+    #[must_use]
+    pub fn new(bits: usize, values: impl IntoIterator<Item = u64>) -> Self {
+        assert!(bits <= ROWS, "{bits} bit slices exceed the array");
+        let mut buf = [0u64; COLS];
+        let mut lanes = 0;
+        for value in values {
+            assert!(lanes < COLS, "lane {lanes} out of range");
+            assert_fits(value, bits);
+            buf[lanes] = value;
+            lanes += 1;
+        }
+        let mut rows = vec![BitRow::zero(); bits];
+        to_planes(&buf, lanes, &mut rows[..bits.min(64)]);
+        BitSlices { rows, lanes }
+    }
+
+    /// Number of slices (the width of each value).
+    #[must_use]
+    pub fn bits(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Number of lanes the slices hold values for (lanes `0..lanes()`).
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// The slices, least-significant bit first.
+    #[must_use]
+    pub fn rows(&self) -> &[BitRow] {
+        &self.rows
+    }
+
+    /// `copies` copies of these lanes side by side: lane `k * lanes() + l`
+    /// of the result holds lane `l` of `self` for every `k < copies` (how
+    /// one streamed input byte is copied to the lanes of every filter in
+    /// an array).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copies need more than 256 lanes.
+    #[must_use]
+    pub fn repeat(&self, copies: usize) -> Self {
+        let lanes = self.lanes * copies;
+        assert!(lanes <= COLS, "lane {} out of range", lanes - 1);
+        BitSlices {
+            rows: self
+                .rows
+                .iter()
+                .map(|row| row.repeat(self.lanes, copies))
+                .collect(),
+            lanes,
+        }
+    }
+}
 
 /// Width (elements) and height (bits) of one hardware TMU tile.
 ///
@@ -39,7 +213,7 @@ pub const TMU_TILE_DIM: usize = 64;
 pub struct TransposeUnit {
     bits_per_element: usize,
     /// cells[element][bit]
-    cells: Vec<u64>,
+    cells: [u64; COLS],
     elements: usize,
     stats: CycleStats,
 }
@@ -58,7 +232,7 @@ impl TransposeUnit {
         );
         TransposeUnit {
             bits_per_element,
-            cells: vec![0; COLS],
+            cells: [0; COLS],
             elements: 0,
             stats: CycleStats::new(),
         }
@@ -135,7 +309,13 @@ impl TransposeUnit {
             return Err(SramError::RowOutOfRange { row: bit });
         }
         self.stats.access_cycles += 1;
-        Ok(BitRow::from_fn(|col| (self.cells[col] >> bit) & 1 == 1))
+        let mut shifted = [0u64; COLS];
+        for (s, &c) in shifted.iter_mut().zip(&self.cells) {
+            *s = c >> bit;
+        }
+        let mut slice = [BitRow::zero()];
+        to_planes(&shifted, COLS, &mut slice);
+        Ok(slice[0])
     }
 
     /// Writes bit-slice `bit` in the transposed direction (one access
@@ -148,13 +328,10 @@ impl TransposeUnit {
         if bit >= self.bits_per_element {
             return Err(SramError::RowOutOfRange { row: bit });
         }
-        for col in 0..COLS {
-            let mask = 1u64 << bit;
-            if slice.get(col) {
-                self.cells[col] |= mask;
-            } else {
-                self.cells[col] &= !mask;
-            }
+        let mut bits = [0u64; COLS];
+        from_planes(std::slice::from_ref(slice), COLS, &mut bits);
+        for (c, b) in self.cells.iter_mut().zip(bits) {
+            *c = (*c & !(1 << bit)) | (b << bit);
         }
         self.elements = self.elements.max(COLS);
         self.stats.access_cycles += 1;
@@ -190,7 +367,11 @@ impl TransposeUnit {
         }
         let words: Vec<u64> = bytes.iter().map(|&b| u64::from(b)).collect();
         self.load_regular(&words)?;
-        (0..8).map(|b| self.read_bit_slice(b)).collect()
+        // One transpose yields all eight slices; each costs its read cycle.
+        let mut slices = vec![BitRow::zero(); 8];
+        to_planes(&self.cells, COLS, &mut slices);
+        self.stats.access_cycles += 8;
+        Ok(slices)
     }
 }
 
