@@ -19,7 +19,7 @@ use nc_sram::{CycleStats, MicroOps, Schedule};
 
 use crate::layout::{
     AssembleLayout, MacReduceLayout, PoolAvgLayout, PoolMaxLayout, RangingLayout, RequantLayout,
-    DUMP_ROW, ZERO_ROW,
+    ZERO_ROW,
 };
 use crate::sparsity::SparsityMode;
 
@@ -326,9 +326,8 @@ impl DerivedCosts {
             reduction_setup: tree(mac, 1),
             cross_array_step: fold.access_cycles,
             requant: requant.compute_cycles,
-            max: recorded(|s| s.max_assign(pool_max.acc, pool_max.x, pool_max.scratch, DUMP_ROW))
-                .compute_cycles,
-            avg_add: recorded(|s| s.add_assign(pool_avg.sum, pool_avg.x)).compute_cycles,
+            max: recorded(|s| pool_max.step(s)).compute_cycles,
+            avg_add: recorded(|s| pool_avg.accumulate(s)).compute_cycles,
             avg_div: recorded(|s| {
                 s.div_scalar(
                     pool_avg.sum,

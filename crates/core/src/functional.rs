@@ -42,24 +42,27 @@
 //! ## Sharding
 //!
 //! The hardware runs thousands of arrays in lockstep; the simulator mirrors
-//! that shape. Each pass is expressed as independent **array-shard jobs**
-//! (one job per output window in pass 1+2, one per 256-lane array run in
-//! pass 3 and the pooling/ranging helpers), dispatched through an
-//! [`ExecutionEngine`] — [`Sequential`](ExecutionEngine::Sequential) or
+//! that shape. Each pass is one epoch of the job plan ([`crate::jobs`]):
+//! independent **array-shard jobs** (one per output window in pass 1+2,
+//! one per 256-lane array run in pass 3 and the pooling/ranging helpers)
+//! whose count, slots and op-span name the epoch gives, dispatched through
+//! an [`ExecutionEngine`] — [`Sequential`](ExecutionEngine::Sequential) or
 //! [`Threaded`](ExecutionEngine::Threaded). Jobs draw recycled arrays from
-//! a shared [`ArrayPool`] and report their own [`CycleStats`]; shard results
-//! are folded in job order, so both backends produce bit-identical outputs
-//! *and* identical cycle counts. The only synchronization point is the
-//! explicit inter-array reduce barrier before dynamic ranging
-//! (Section IV-D), which needs every shard's accumulators.
+//! a shared [`ArrayPool`], exactly as many as the epoch declares
+//! ([`FunctionalError::PlanDrift`] otherwise), and report their own
+//! [`CycleStats`]; shard results are folded in job order, so both backends
+//! produce bit-identical outputs *and* identical cycle counts. The only
+//! synchronization point is the explicit inter-array reduce barrier before
+//! dynamic ranging (Section IV-D), which needs every shard's accumulators.
 //!
 //! ## Sequencing
 //!
 //! The executor implements only the leaf passes (convolution, own-range
 //! requantization, pooling, and the block-wide join of a mixed block) as an
 //! [`nc_dnn::walk::Passes`]; [`nc_dnn::walk::walk_layer`] decides their
-//! order. The `nc-verify` shard graph and value-range analysis implement
-//! the same trait, so all three follow one sequencing by construction.
+//! order. Each leaf builds its epochs with the constructors that
+//! [`crate::jobs::job_plan`] calls over the same walk, so the `nc-verify`
+//! shard graph expanded from that plan is the executor's dispatches.
 
 use std::error::Error;
 use std::fmt;
@@ -72,13 +75,13 @@ use nc_dnn::{
     pad_before, ActQuant, Conv2d, MixedBlock, Model, Pool2d, PoolKind, QTensor, Requantizer, Shape,
 };
 use nc_sram::{
-    ArrayPool, ArrayTimings, BitSlices, ComputeArray, CycleStats, MicroOps, Operand, SramError,
-    COLS,
+    ArrayPool, ArrayTimings, BitSlices, ComputeArray, CycleStats, Operand, SramError, COLS,
 };
 use nc_telemetry::{Level, Telemetry, TrackId, Value};
 
 use crate::engine::{ExecutionEngine, ShardObserver};
-use crate::layout::{self, DUMP_ROW, ZERO_ROW};
+use crate::jobs::{self, Epoch};
+use crate::layout::{self, ZERO_ROW};
 use crate::mapping::{conv_lane_geometry, LaneBytes, LaneGeometry};
 use crate::sparsity::SparsityMode;
 
@@ -130,6 +133,16 @@ pub enum FunctionalError {
     },
     /// An underlying SRAM operation was rejected.
     Sram(SramError),
+    /// An epoch's jobs checked out a different number of arrays than the
+    /// job plan declares for it.
+    PlanDrift {
+        /// Label of the epoch.
+        epoch: String,
+        /// Checkouts the plan declares.
+        planned: u64,
+        /// Checkouts the jobs made.
+        executed: u64,
+    },
 }
 
 impl fmt::Display for FunctionalError {
@@ -148,6 +161,14 @@ impl fmt::Display for FunctionalError {
                 )
             }
             FunctionalError::Sram(e) => write!(f, "sram operation failed: {e}"),
+            FunctionalError::PlanDrift {
+                epoch,
+                planned,
+                executed,
+            } => write!(
+                f,
+                "epoch {epoch} checked out {executed} arrays; the job plan declares {planned}"
+            ),
         }
     }
 }
@@ -156,7 +177,9 @@ impl Error for FunctionalError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             FunctionalError::Sram(e) => Some(e),
-            FunctionalError::MissingWeights { .. } | FunctionalError::InputShape { .. } => None,
+            FunctionalError::MissingWeights { .. }
+            | FunctionalError::InputShape { .. }
+            | FunctionalError::PlanDrift { .. } => None,
         }
     }
 }
@@ -250,7 +273,8 @@ pub fn run_model_configured(
 /// # Errors
 ///
 /// Fails if the input shape is not the model's input shape or any
-/// convolution sub-layer lacks weights.
+/// convolution sub-layer lacks weights, and with
+/// [`FunctionalError::PlanDrift`] if an epoch's checkouts leave the job plan.
 pub fn run_model_traced(
     model: &Model,
     input: &QTensor,
@@ -433,30 +457,41 @@ impl Exec {
         }
     }
 
-    /// Runs one in-cache pass as `jobs` independent shard jobs on the
-    /// engine. Each job returns a value and the cycles it consumed; both
-    /// fold in job order (`fold` gets the job index and value), so every
-    /// engine yields identical results, and the pass emits exactly one
-    /// `functional.op` span named `op`.
+    /// Runs `epoch` on the engine: one shard job per [`Epoch::jobs`], each
+    /// handed its [`Epoch::job_slots`]. Each job returns a value and the
+    /// cycles it consumed; both fold in job order, so every engine yields
+    /// identical results, and the epoch emits exactly one `functional.op`
+    /// span named [`Epoch::op`]. After the join the pool must have seen
+    /// exactly the epoch's declared checkouts.
     fn dispatch<T: Send>(
         &mut self,
-        op: &str,
-        jobs: usize,
-        job: impl Fn(&ArrayPool, usize) -> Result<(T, CycleStats)> + Sync,
-        mut fold: impl FnMut(usize, T),
-    ) -> Result<()> {
+        epoch: &Epoch,
+        job: impl Fn(&ArrayPool, Range<usize>) -> Result<(T, CycleStats)> + Sync,
+    ) -> Result<Vec<T>> {
         let before = self.cycles;
+        let acquires = self.pool.stats().acquires;
         let pool = &self.pool;
-        let shards = self
-            .engine
-            .run_observed(jobs, |i| job(pool, i), self.observer.as_ref());
-        for (i, shard) in shards.into_iter().enumerate() {
+        let shards = self.engine.run_observed(
+            epoch.jobs(),
+            |i| job(pool, epoch.job_slots(i)),
+            self.observer.as_ref(),
+        );
+        let mut values = Vec::with_capacity(shards.len());
+        for shard in shards {
             let (value, cycles) = shard?;
             self.cycles += cycles;
-            fold(i, value);
+            values.push(value);
         }
-        self.op_span(op, before);
-        Ok(())
+        let executed = self.pool.stats().acquires - acquires;
+        if executed != epoch.acquires() {
+            return Err(FunctionalError::PlanDrift {
+                epoch: epoch.label.clone(),
+                planned: epoch.acquires(),
+                executed,
+            });
+        }
+        self.op_span(epoch.op, before);
+        Ok(values)
     }
 
     // ------------------------------------------------------------------
@@ -504,60 +539,39 @@ impl Exec {
         // every filter run against its window, then assembles the
         // accumulators, on arrays drawn from the shared pool.
         let mode = self.mode;
-        let positions = out_shape.h * out_shape.w;
+        let [mac, ranging] = jobs::conv_epochs(spec, in_shape);
         let (geom, filters, c0) = (&geom, &filters, &c0);
-        #[cfg(debug_assertions)]
-        let acquires_before = self.pool.stats().acquires;
-        let mut acc_values = vec![0i64; out_shape.len()];
-        self.dispatch(
-            "mac-reduce",
-            positions,
-            |pool, pos| {
-                let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-                let mut cycles = CycleStats::new();
-                let window = LaneBytes::gather_window(input, spec, geom, ey, ex);
-                let window = transpose_run(&window, geom, &(0..1));
-                let mut vals = vec![0i64; spec.m];
-                for (run, filters) in geom.runs(spec.m).zip(filters) {
-                    let (s1s, s2s) =
-                        mac_reduce_run(pool, &mut cycles, geom, filters, &window, &run, mode)?;
-                    for (f, (s1, s2)) in run.zip(s1s.into_iter().zip(s2s)) {
-                        // Pass 2: ACC assembly + fused ReLU, in-cache.
-                        vals[f] = assemble_acc(pool, &mut cycles, s1, s2, zp_w, c0[f], spec.relu)?;
-                    }
+        let job = |pool: &ArrayPool, slots: Range<usize>| {
+            let pos = slots.start / spec.m;
+            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
+            let mut cycles = CycleStats::new();
+            let window = LaneBytes::gather_window(input, spec, geom, ey, ex);
+            let window = transpose_run(&window, geom, &(0..1));
+            let mut vals = vec![0i64; spec.m];
+            for (run, filters) in geom.runs(spec.m).zip(filters) {
+                let (s1s, s2s) =
+                    mac_reduce_run(pool, &mut cycles, geom, filters, &window, &run, mode)?;
+                for (f, (s1, s2)) in run.zip(s1s.into_iter().zip(s2s)) {
+                    // Pass 2: ACC assembly + fused ReLU, in-cache.
+                    vals[f] = assemble_acc(pool, &mut cycles, s1, s2, zp_w, c0[f], spec.relu)?;
                 }
-                Ok((vals, cycles))
-            },
-            |pos, vals| {
-                let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-                for (m, v) in vals.into_iter().enumerate() {
-                    acc_values[out_shape.index(ey, ex, m)] = v;
-                }
-            },
-        )?;
+            }
+            Ok((vals, cycles))
+        };
+        // MAC job `pos` writes slots `pos * m..(pos + 1) * m`.
+        let acc_values = self.dispatch(&mac, job)?.concat();
 
         // Inter-array reduce barrier — dynamic ranging (Section IV-D) needs
         // every shard's accumulators: per-array min/max trees, combined
         // across arrays and slices by bus+ring transfers (host-combined
         // here, exactly like the paper's per-array results).
-        let (min, max) = self.min_max_in_cache(&acc_values)?;
-        // Debug-mode pool-event accounting: the checkout count of this
-        // sub-layer must equal the shard-graph prediction `nc-verify`
-        // reconciles statically (MAC runs + per-group assemblies per
-        // position, then two ranging checkouts per 256-lane chunk).
-        #[cfg(debug_assertions)]
-        {
-            let (mac_arrays, assemble_arrays) = geom.mac_job_checkouts(spec.m);
-            let per_position = (mac_arrays + assemble_arrays) as u64;
-            let ranging = 2 * acc_values.len().div_ceil(COLS) as u64;
-            debug_assert_eq!(
-                self.pool.stats().acquires - acquires_before,
-                positions as u64 * per_position + ranging,
-                "{}: executed pool checkouts drifted from the planned shard \
-                 decomposition",
-                spec.name
-            );
+        let mut range = nc_sram::ValueStats::new();
+        let job = |pool: &ArrayPool, slots: Range<usize>| min_max_chunk(pool, &acc_values[slots]);
+        for (lo, hi) in self.dispatch(&ranging, job)? {
+            range.observe(lo);
+            range.observe(hi);
         }
+        let (min, max) = (range.min, range.max);
         debug_assert_eq!(
             (min, max),
             (
@@ -577,31 +591,6 @@ impl Exec {
         })
     }
 
-    /// In-cache dynamic ranging: accumulator values are loaded with a 2^38
-    /// offset (so two's-complement order matches unsigned order) and
-    /// reduced by the in-array min/max trees of Section IV-D; per-chunk
-    /// results combine like per-array results do over the bus and ring
-    /// (each 256-lane chunk is one shard job).
-    fn min_max_in_cache(&mut self, values: &[i64]) -> Result<(i64, i64)> {
-        let chunks: Vec<&[i64]> = values.chunks(COLS).collect();
-        // Per-shard extremes fold through ValueStats: merge is commutative
-        // and associative, so the combined range is independent of shard
-        // completion order (the threaded engine's only freedom here).
-        let mut range = nc_sram::ValueStats::new();
-        self.dispatch(
-            "ranging",
-            chunks.len(),
-            |pool, i| min_max_chunk(pool, chunks[i]),
-            |_, (lo, hi)| {
-                let mut shard_stats = nc_sram::ValueStats::new();
-                shard_stats.observe(lo);
-                shard_stats.observe(hi);
-                range = range.merge(shard_stats);
-            },
-        )?;
-        Ok((range.min, range.max))
-    }
-
     // ------------------------------------------------------------------
     // Pass 3: requantization
     // ------------------------------------------------------------------
@@ -611,39 +600,16 @@ impl Exec {
     /// saturate at 255. Each 256-output array run is one shard job.
     fn requant_acc(
         &mut self,
+        conv: &Conv2d,
         acc: &AccChunk,
         requant: Requantizer,
         out_quant: ActQuant,
     ) -> Result<QTensor> {
-        let chunks: Vec<&[i64]> = acc.values.chunks(COLS).collect();
-        let mut out = Vec::with_capacity(acc.values.len());
-        self.dispatch(
-            "requantize",
-            chunks.len(),
-            |pool, i| requant_chunk(pool, chunks[i], requant),
-            |_, bytes| out.extend_from_slice(&bytes),
-        )?;
-        Ok(QTensor::from_vec(acc.shape, out_quant, out))
-    }
-
-    /// In-cache code-to-code requantization of a pool-final branch
-    /// (`q' = clamp((q*m + c) >> sh)`, Section IV-D batch-norm style
-    /// multiply/add/shift), sharded per 256-lane array run.
-    fn code_requant(
-        &mut self,
-        t: &QTensor,
-        map: CodeRequant,
-        out_quant: ActQuant,
-    ) -> Result<QTensor> {
-        let chunks: Vec<&[u8]> = t.data().chunks(COLS).collect();
-        let mut out = Vec::with_capacity(t.data().len());
-        self.dispatch(
-            "code-requant",
-            chunks.len(),
-            |pool, i| code_requant_chunk(pool, chunks[i], map),
-            |_, bytes| out.extend_from_slice(&bytes),
-        )?;
-        Ok(QTensor::from_vec(t.shape(), out_quant, out))
+        let epoch = jobs::requant_epoch(&conv.spec, acc.shape);
+        let out = self.dispatch(&epoch, |pool, slots| {
+            requant_chunk(pool, &acc.values[slots], requant)
+        })?;
+        Ok(QTensor::from_vec(acc.shape, out_quant, out.concat()))
     }
 }
 
@@ -668,10 +634,10 @@ impl<'m> Passes<'m> for Exec {
         Ok(acc)
     }
 
-    fn requantize(&mut self, _conv: &'m Conv2d, acc: AccChunk) -> Result<QTensor> {
+    fn requantize(&mut self, conv: &'m Conv2d, acc: AccChunk) -> Result<QTensor> {
         let record = &self.sublayers[acc.record];
         let (requant, out_quant) = (record.requant, record.out_quant);
-        self.requant_acc(&acc, requant, out_quant)
+        self.requant_acc(conv, &acc, requant, out_quant)
     }
 
     /// Pooling (Section IV-D): one output per lane, sharded per 256-lane
@@ -683,8 +649,7 @@ impl<'m> Passes<'m> for Exec {
         let pad_x = pad_before(in_shape.w, pool.k, pool.stride, pool.padding) as isize;
 
         // Collect each output's valid window elements (one output per lane).
-        let total = out_shape.len();
-        let mut windows: Vec<Vec<u8>> = Vec::with_capacity(total);
+        let mut windows: Vec<Vec<u8>> = Vec::with_capacity(out_shape.len());
         for ey in 0..out_shape.h {
             for ex in 0..out_shape.w {
                 for c in 0..out_shape.c {
@@ -711,23 +676,12 @@ impl<'m> Passes<'m> for Exec {
         // All lanes (across every array run) advance through the same
         // number of rounds, in lockstep with the widest window.
         let max_window = windows.iter().map(Vec::len).max().unwrap_or(0);
-        let chunks: Vec<&[Vec<u8>]> = windows.chunks(COLS).collect();
-        let kind = pool.kind;
-        let op = match kind {
-            PoolKind::Max => "pool-max",
-            PoolKind::Avg => "pool-avg",
-        };
-        let mut out = Vec::with_capacity(total);
-        self.dispatch(
-            op,
-            chunks.len(),
-            |arrays, i| match kind {
-                PoolKind::Max => pool_max_chunk(arrays, chunks[i], max_window),
-                PoolKind::Avg => pool_avg_chunk(arrays, chunks[i], max_window),
-            },
-            |_, bytes| out.extend_from_slice(&bytes),
-        )?;
-        Ok(QTensor::from_vec(out_shape, input.params(), out))
+        let epoch = jobs::pool_epoch(pool, in_shape);
+        let out = self.dispatch(&epoch, |arrays, slots| match pool.kind {
+            PoolKind::Max => pool_max_chunk(arrays, &windows[slots], max_window),
+            PoolKind::Avg => pool_avg_chunk(arrays, &windows[slots], max_window),
+        })?;
+        Ok(QTensor::from_vec(out_shape, input.params(), out.concat()))
     }
 
     fn join(
@@ -758,16 +712,22 @@ impl<'m> Passes<'m> for Exec {
         let mut parts = Vec::with_capacity(pending.len());
         for p in pending {
             parts.push(match p {
-                Pending::Conv(_, acc) => {
+                Pending::Conv(conv, acc) => {
                     let requant = branch_requantizer(r_min, r_max, acc.scale);
                     let record = &mut self.sublayers[acc.record];
                     record.requant = requant;
                     record.out_quant = out_quant;
-                    self.requant_acc(&acc, requant, out_quant)?
+                    self.requant_acc(conv, &acc, requant, out_quant)?
                 }
-                Pending::Pool(_, t) => {
+                Pending::Pool(pool, t) => {
+                    // In-cache code-to-code requantization (Section IV-D
+                    // batch-norm style multiply/add/shift).
                     let map = CodeRequant::between(t.params(), out_quant);
-                    self.code_requant(&t, map, out_quant)?
+                    let epoch = jobs::code_requant_epoch(pool, t.shape());
+                    let out = self.dispatch(&epoch, |arrays, slots| {
+                        code_requant_chunk(arrays, &t.data()[slots], map)
+                    })?;
+                    QTensor::from_vec(t.shape(), out_quant, out.concat())
                 }
             });
         }
@@ -813,7 +773,7 @@ fn mac_reduce_run(
 
     for a in 0..geom.arrays_per_filter {
         let mut arr = pool.acquire();
-        *cycles += arr.zero(mac.partial)? + arr.zero(mac.s2sum)?;
+        *cycles += mac.clear(&mut *arr)?;
 
         for t in 0..geom.eff_window {
             // Stream tap t of the filter and input bytes onto the run's
@@ -919,20 +879,10 @@ fn code_requant_chunk(
     chunk: &[u8],
     map: CodeRequant,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::CodeRequantLayout { q_in, prod } = layout::CodeRequantLayout::new();
-    let m_abs = map.m.unsigned_abs();
-
-    let mut cycles = CycleStats::new();
+    let l = layout::CodeRequantLayout::new();
     let mut arr = pool.acquire();
-    arr.poke_lanes(q_in, chunk.iter().map(|&q| u64::from(q)));
-    cycles += arr.mul_scalar(q_in, m_abs, prod)?;
-    // m is non-negative for real scale ratios; fold c (possibly negative)
-    // as a two's-complement scalar add.
-    cycles += arr.add_scalar_signed(prod, map.c)?;
-    cycles += arr.relu(prod)?;
-    let shifted = prod.slice(map.sh as usize, 16)?;
-    cycles += arr.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
-    let q_op = shifted.slice(0, 8)?;
+    arr.poke_lanes(l.q_in, chunk.iter().map(|&q| u64::from(q)));
+    let (cycles, q_op) = l.requantize(&mut *arr, map.m.unsigned_abs(), map.c, map.sh)?;
     Ok((read_bytes(&arr, q_op, chunk.len()), cycles))
 }
 
@@ -943,20 +893,18 @@ fn pool_max_chunk(
     chunk: &[Vec<u8>],
     max_window: usize,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::PoolMaxLayout { acc, x, scratch } = layout::PoolMaxLayout::new();
-    const DUMP: usize = DUMP_ROW;
-
+    let l = layout::PoolMaxLayout::new();
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    arr.poke_lanes(acc, chunk.iter().map(|w| u64::from(w[0])));
+    arr.poke_lanes(l.acc, chunk.iter().map(|w| u64::from(w[0])));
     for i in 1..max_window {
         // Short windows (image edges) repeat their first element, which is
         // a no-op for max.
         let vals = chunk.iter().map(|w| w.get(i).copied().unwrap_or(w[0]));
-        arr.poke_lanes(x, vals.map(u64::from));
-        cycles += arr.max_assign(acc, x, scratch, DUMP)?;
+        arr.poke_lanes(l.x, vals.map(u64::from));
+        cycles += l.step(&mut *arr)?;
     }
-    Ok((read_bytes(&arr, acc, chunk.len()), cycles))
+    Ok((read_bytes(&arr, l.acc, chunk.len()), cycles))
 }
 
 /// Average pooling over one 256-lane chunk: bit-serial window sum, then
@@ -966,28 +914,17 @@ fn pool_avg_chunk(
     chunk: &[Vec<u8>],
     max_window: usize,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::PoolAvgLayout {
-        x,
-        sum,
-        den,
-        quot,
-        rem,
-        trial,
-        notden,
-    } = layout::PoolAvgLayout::new();
-
-    let mut cycles = CycleStats::new();
+    let l = layout::PoolAvgLayout::new();
     let mut arr = pool.acquire();
-    cycles += arr.zero(sum)?;
+    let mut cycles = l.clear(&mut *arr)?;
     for i in 0..max_window {
         let vals = chunk.iter().map(|w| w.get(i).copied().unwrap_or(0));
-        arr.poke_lanes(x, vals.map(u64::from));
-        cycles += arr.add_assign(sum, x)?;
+        arr.poke_lanes(l.x, vals.map(u64::from));
+        cycles += l.accumulate(&mut *arr)?;
     }
-    arr.poke_lanes(den, chunk.iter().map(|w| w.len() as u64));
-    cycles += arr.div(sum, den, quot, rem, trial, notden)?;
-    let q_op = quot.slice(0, 8)?;
-    Ok((read_bytes(&arr, q_op, chunk.len()), cycles))
+    arr.poke_lanes(l.den, chunk.iter().map(|w| w.len() as u64));
+    let (divide, q_op) = l.divide(&mut *arr)?;
+    Ok((read_bytes(&arr, q_op, chunk.len()), cycles + divide))
 }
 
 /// Reads an 8-bit result operand out of lanes `0..lanes`.
@@ -1390,6 +1327,36 @@ mod tests {
                 }
             );
             assert!(err.to_string().contains("input shape"));
+        }
+    }
+
+    #[test]
+    fn an_epoch_that_leaves_the_plan_is_an_error() {
+        // A ranging epoch declaring one more checkout per job than the
+        // min/max trees take fails after the join, in release builds too.
+        let conv = random_conv("c", (3, 3), 4, 40, 1, Padding::Same, true, 11);
+        let [_, mut ranging] = jobs::conv_epochs(&conv.spec, Shape::new(3, 3, 4));
+        ranging.checkouts[0].1 += 1;
+        let values: Vec<i64> = (0..ranging.slots as i64).collect();
+        let jobs = ranging.jobs() as u64;
+        assert!(jobs > 1);
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::from_threads(2),
+        ] {
+            let mut exec =
+                Exec::new(engine, SparsityMode::Dense, Telemetry::disabled()).expect("executor");
+            let job = |pool: &ArrayPool, slots: Range<usize>| min_max_chunk(pool, &values[slots]);
+            let err = exec.dispatch(&ranging, job).unwrap_err();
+            assert_eq!(
+                err,
+                FunctionalError::PlanDrift {
+                    epoch: "c/ranging".into(),
+                    planned: 3 * jobs,
+                    executed: 2 * jobs,
+                }
+            );
+            assert!(err.to_string().contains("job plan"));
         }
     }
 

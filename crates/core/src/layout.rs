@@ -13,12 +13,11 @@
 //! - the `nc-verify` static checker consumes the same descriptors to emit
 //!   structured diagnostics without executing anything.
 //!
-//! The op sequences of the passes whose costs the timing model charges
-//! (the per-tap MAC, the widen-and-reduce tail, the cross-array fold, ACC
-//! assembly, requantization and the ranging trees) are written here once,
-//! generic over the [`MicroOps`] sink: the executor runs them on a
-//! `ComputeArray`, and the verifier and the `DerivedCostModel` record them
-//! on a `Schedule`.
+//! Every pass's op sequence is written here once, generic over the
+//! [`MicroOps`] sink: the executor runs them on a `ComputeArray` and only
+//! stages operands around them, and the verifier and the
+//! `DerivedCostModel` record them on a `Schedule`. [`Pass`] names each
+//! layout for the job plan ([`crate::jobs`]).
 
 use nc_sram::ops::copy_lanes_between;
 use nc_sram::{CycleStats, MicroOps, Operand, Result, ROWS};
@@ -95,6 +94,15 @@ impl MacReduceLayout {
         ]
     }
 
+    /// Clears the running sums `S1` and `S2` before the first tap.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub fn clear<S: MicroOps + ?Sized>(&self, s: &mut S) -> Result<CycleStats> {
+        Ok(s.zero(self.partial)? + s.zero(self.s2sum)?)
+    }
+
     /// The per-tap multiply's `(multiplicand, multiplier)` under `mode`.
     ///
     /// Under [`SparsityMode::SkipZeroRows`] the stationary filter byte is
@@ -163,7 +171,7 @@ impl MacReduceLayout {
     /// # Errors
     ///
     /// Propagates the sinks' errors.
-    pub(crate) fn fold_partner<P: MicroOps + ?Sized, H: MicroOps + ?Sized>(
+    pub fn fold_partner<P: MicroOps + ?Sized, H: MicroOps + ?Sized>(
         &self,
         partner: &mut P,
         home: &mut H,
@@ -233,7 +241,7 @@ impl AssembleLayout {
     /// # Errors
     ///
     /// Propagates the sink's errors.
-    pub(crate) fn assemble<S: MicroOps + ?Sized>(
+    pub fn assemble<S: MicroOps + ?Sized>(
         &self,
         s: &mut S,
         zp_w: u64,
@@ -290,7 +298,7 @@ impl RangingLayout {
     /// # Errors
     ///
     /// Propagates the sink's errors.
-    pub(crate) fn tree<S: MicroOps + ?Sized>(
+    pub fn tree<S: MicroOps + ?Sized>(
         &self,
         s: &mut S,
         want_max: bool,
@@ -343,7 +351,7 @@ impl RequantLayout {
     ///
     /// Propagates the sink's errors (e.g. a multiplier wider than the
     /// 48-bit product admits).
-    pub(crate) fn requantize<S: MicroOps + ?Sized>(
+    pub fn requantize<S: MicroOps + ?Sized>(
         &self,
         s: &mut S,
         acc_min: i64,
@@ -389,6 +397,28 @@ impl CodeRequantLayout {
     pub fn named(&self) -> Vec<NamedOperand> {
         vec![("q_in", self.q_in), ("prod", self.prod)]
     }
+
+    /// Code-to-code requantization `q' = min(max(q*m + c, 0) >> shift, 255)`
+    /// with a two's-complement `c`. Returns the cycles and the 8-bit region
+    /// holding `q'`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors (e.g. a shift past the product).
+    pub fn requantize<S: MicroOps + ?Sized>(
+        &self,
+        s: &mut S,
+        m: u64,
+        c: i64,
+        shift: u32,
+    ) -> Result<(CycleStats, Operand)> {
+        let cycles = s.mul_scalar(self.q_in, m, self.prod)?
+            + s.add_scalar_signed(self.prod, c)?
+            + s.relu(self.prod)?;
+        let shifted = self.prod.slice(shift as usize, 16)?;
+        let cycles = cycles + s.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
+        Ok((cycles, shifted.slice(0, 8)?))
+    }
 }
 
 impl Default for CodeRequantLayout {
@@ -423,6 +453,16 @@ impl PoolMaxLayout {
     #[must_use]
     pub fn named(&self) -> Vec<NamedOperand> {
         vec![("acc", self.acc), ("x", self.x), ("scratch", self.scratch)]
+    }
+
+    /// One window step: `acc = max(acc, x)` on every lane, by subtract,
+    /// MSB mask and selective copy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub fn step<S: MicroOps + ?Sized>(&self, s: &mut S) -> Result<CycleStats> {
+        s.max_assign(self.acc, self.x, self.scratch, DUMP_ROW)
     }
 }
 
@@ -479,6 +519,43 @@ impl PoolAvgLayout {
             ("notden", self.notden),
         ]
     }
+
+    /// Clears the window sum before the first element.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub fn clear<S: MicroOps + ?Sized>(&self, s: &mut S) -> Result<CycleStats> {
+        s.zero(self.sum)
+    }
+
+    /// One window step: `sum += x` on every lane.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub fn accumulate<S: MicroOps + ?Sized>(&self, s: &mut S) -> Result<CycleStats> {
+        s.add_assign(self.sum, self.x)
+    }
+
+    /// Lane-wise restoring division of the window sum by the per-lane
+    /// valid-element count. Returns the cycles and the 8-bit region holding
+    /// the average.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sink's errors.
+    pub fn divide<S: MicroOps + ?Sized>(&self, s: &mut S) -> Result<(CycleStats, Operand)> {
+        let cycles = s.div(
+            self.sum,
+            self.den,
+            self.quot,
+            self.rem,
+            self.trial,
+            self.notden,
+        )?;
+        Ok((cycles, self.quot.slice(0, 8)?))
+    }
 }
 
 impl Default for PoolAvgLayout {
@@ -487,19 +564,30 @@ impl Default for PoolAvgLayout {
     }
 }
 
-/// Every shard-job layout with its name, for exhaustive checking.
-#[must_use]
-pub fn all_layouts() -> Vec<(&'static str, Vec<NamedOperand>)> {
-    all_layouts_with_dump()
-        .into_iter()
-        .map(|(name, operands, _)| (name, operands))
-        .collect()
+/// A shard-job pass layout; `pass as usize` is its index in
+/// [`all_layouts_with_dump`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// [`MacReduceLayout`].
+    MacReduce,
+    /// [`AssembleLayout`].
+    AssembleAcc,
+    /// [`RangingLayout`].
+    Ranging,
+    /// [`RequantLayout`].
+    Requant,
+    /// [`CodeRequantLayout`].
+    CodeRequant,
+    /// [`PoolMaxLayout`].
+    PoolMax,
+    /// [`PoolAvgLayout`].
+    PoolAvg,
 }
 
-/// Every shard-job layout with its name and whether its micro-op sequence
-/// drives the reserved [`DUMP_ROW`] (comparison/clamp borrow dumps). The
-/// shard-graph verifier uses the flag to model each job's write set
-/// row-exactly, including the reserved row.
+/// Every shard-job layout, in [`Pass`] order, with its name and whether its
+/// micro-op sequence drives the reserved [`DUMP_ROW`] (comparison/clamp
+/// borrow dumps). The shard-graph verifier uses the flag to model each
+/// job's write set row-exactly, including the reserved row.
 #[must_use]
 pub fn all_layouts_with_dump() -> Vec<(&'static str, Vec<NamedOperand>, bool)> {
     vec![
@@ -523,7 +611,7 @@ pub fn all_layouts_with_dump() -> Vec<(&'static str, Vec<NamedOperand>, bool)> {
 #[must_use]
 pub fn validate_plan() -> Vec<String> {
     let mut violations = Vec::new();
-    for (job, operands) in all_layouts() {
+    for (job, operands, _) in all_layouts_with_dump() {
         for (i, (name, o)) in operands.iter().enumerate() {
             if o.rows().end > ROWS {
                 violations.push(format!("{job}: {name} {o} exceeds {ROWS} word lines"));
@@ -574,12 +662,11 @@ mod tests {
             .filter_map(|(name, _, dumps)| dumps.then_some(name))
             .collect();
         assert_eq!(dumping, ["ranging", "requant", "code_requant", "pool_max"]);
-        assert_eq!(all_layouts().len(), all_layouts_with_dump().len());
     }
 
     #[test]
     fn reserved_rows_sit_above_every_layout() {
-        for (job, operands) in all_layouts() {
+        for (job, operands, _) in all_layouts_with_dump() {
             for (name, o) in operands {
                 assert!(
                     o.rows().end <= DUMP_ROW,

@@ -16,8 +16,9 @@
 //! - [`isa`]: the Section IV-F instruction/FSM execution model;
 //! - [`engine`]: the work-sharded execution engine (sequential or threaded
 //!   backends) the simulators dispatch independent shard jobs through;
-//! - [`layout`]: the named operand-row layouts of every executor shard job,
-//!   shared with the `nc-verify` static plan checker;
+//! - [`layout`]: the named operand-row layouts of every executor shard job
+//!   and their op sequences, shared with the `nc-verify` static checker;
+//! - [`jobs`]: the shape-only job plan the executor dispatches;
 //! - [`functional`]: the bit-accurate executor that runs layers on real
 //!   [`nc_sram::ComputeArray`]s and must match the [`nc_dnn::reference`]
 //!   golden model bit-for-bit;
@@ -65,6 +66,7 @@ pub mod energy;
 pub mod engine;
 pub mod functional;
 pub mod isa;
+pub mod jobs;
 pub mod layout;
 pub mod mapping;
 pub mod sparsity;

@@ -83,14 +83,6 @@ impl LaneGeometry {
             .map(move |first| first..(first + per_run).min(m))
     }
 
-    /// Pool checkouts of one output-window MAC job over `m` filters:
-    /// `(runs × arrays_per_filter, m)` — the MAC+reduce arrays of every
-    /// filter run, then one accumulator-assembly array per filter.
-    #[must_use]
-    pub fn mac_job_checkouts(&self, m: usize) -> (usize, usize) {
-        (self.runs(m).count() * self.arrays_per_filter, m)
-    }
-
     /// Where byte `i` (window order `r*S + s`) of channel `c` sits:
     /// `(array, lane within the group, tap)`. Packing puts `packing`
     /// consecutive channels' single bytes on one lane; splitting spreads one

@@ -11,8 +11,8 @@
 //! out to several convolutions, each of which is a branch final.
 //!
 //! [`walk_layer`] owns that sequencing; a [`Passes`] implementor supplies
-//! only the leaf steps. The functional executor, the shard-graph builder and
-//! the value-range analysis implement [`Passes`]; shape-only consumers (the
+//! only the leaf steps. The functional executor, the job plan and the
+//! value-range analysis implement [`Passes`]; shape-only consumers (the
 //! mapper, Table I, sparsity analysis, the baselines) read the flat
 //! [`Layer::units`] list built on the same walk.
 

@@ -156,11 +156,11 @@ pub fn check_operands(label: &str, operands: &[NamedOperand]) -> Vec<Diagnostic>
 }
 
 /// Lints every named operand layout the functional executor ships
-/// ([`layout::all_layouts`]).
+/// ([`layout::all_layouts_with_dump`]).
 #[must_use]
 pub fn check_layouts() -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (name, operands) in layout::all_layouts() {
+    for (name, operands, _) in layout::all_layouts_with_dump() {
         out.extend(check_operands(name, &operands));
     }
     out
@@ -430,5 +430,99 @@ mod tests {
             assert!(check_schedule("mac_tap", &s).is_empty(), "{mode:?}");
         }
         assert!(check_schedule("reduce", &reduce_schedule(64)).is_empty());
+    }
+
+    #[test]
+    fn every_pass_schedule_is_hazard_free_and_dumps_as_flagged() {
+        use layout::{
+            AssembleLayout, CodeRequantLayout, MacReduceLayout, Pass, PoolAvgLayout, PoolMaxLayout,
+            RangingLayout, RequantLayout,
+        };
+        fn record(
+            f: impl FnOnce(&mut Schedule) -> nc_sram::Result<nc_sram::CycleStats>,
+        ) -> Schedule {
+            let mut s = Schedule::with_zero_row(ZERO_ROW);
+            f(&mut s).expect("the shipped layout admits its pass");
+            s
+        }
+        let mac = MacReduceLayout::new();
+        let (assemble, ranging) = (AssembleLayout::new(), RangingLayout::new());
+        let (pool_max, pool_avg) = (PoolMaxLayout::new(), PoolAvgLayout::new());
+        let (mut partner, mut home) = (
+            Schedule::with_zero_row(ZERO_ROW),
+            Schedule::with_zero_row(ZERO_ROW),
+        );
+        mac.fold_partner(&mut partner, &mut home).unwrap();
+        let passes = [
+            (Pass::MacReduce, "clear", record(|s| mac.clear(s))),
+            (
+                Pass::MacReduce,
+                "mac_tap",
+                record(|s| mac.mac_tap(s, SparsityMode::Dense)),
+            ),
+            (
+                Pass::MacReduce,
+                "widen_and_reduce",
+                record(|s| mac.widen_and_reduce(s, 64, 4)),
+            ),
+            (Pass::MacReduce, "fold/partner", partner),
+            (Pass::MacReduce, "fold/home", home),
+            (
+                Pass::AssembleAcc,
+                "assemble/relu",
+                record(|s| assemble.assemble(s, 3, true)),
+            ),
+            (
+                Pass::AssembleAcc,
+                "assemble/linear",
+                record(|s| assemble.assemble(s, 3, false)),
+            ),
+            (
+                Pass::Ranging,
+                "ranging/min",
+                record(|s| ranging.tree(s, false, COLS)),
+            ),
+            (
+                Pass::Ranging,
+                "ranging/max",
+                record(|s| ranging.tree(s, true, COLS)),
+            ),
+            (
+                Pass::Requant,
+                "requant",
+                record(|s| Ok(RequantLayout::new().requantize(s, -5, 77, 9)?.0)),
+            ),
+            (
+                Pass::CodeRequant,
+                "code_requant",
+                record(|s| Ok(CodeRequantLayout::new().requantize(s, 3, -40, 2)?.0)),
+            ),
+            (Pass::PoolMax, "pool_max/step", record(|s| pool_max.step(s))),
+            (
+                Pass::PoolAvg,
+                "pool_avg/clear",
+                record(|s| pool_avg.clear(s)),
+            ),
+            (
+                Pass::PoolAvg,
+                "pool_avg/accumulate",
+                record(|s| pool_avg.accumulate(s)),
+            ),
+            (
+                Pass::PoolAvg,
+                "pool_avg/divide",
+                record(|s| Ok(pool_avg.divide(s)?.0)),
+            ),
+        ];
+        for (pass, label, s) in &passes {
+            assert_eq!(check_schedule(label, s), Vec::new(), "{label}");
+            let (_, _, flagged) = layout::all_layouts_with_dump()[*pass as usize];
+            let dumps = s.steps.iter().any(|step| step.writes.contains(&DUMP_ROW));
+            assert_eq!(dumps, flagged, "{label} writes the dump row: {dumps}");
+        }
+        // Every pass layout has at least one recorded sequence.
+        for id in 0..layout::all_layouts_with_dump().len() {
+            assert!(passes.iter().any(|(p, _, _)| *p as usize == id), "{id}");
+        }
     }
 }

@@ -12,24 +12,19 @@
 //! inter-array reduce barrier of Section IV-D is the join between a MAC
 //! epoch and its ranging epoch.
 //!
-//! [`ShardGraph::from_model`] derives that decomposition from the model
-//! alone. It is a second implementation of the executor's leaf passes
-//! over the one sub-layer sequencing both share
-//! ([`nc_dnn::walk::walk_layer`]), and its per-window checkout count is the
-//! executor's own ([`neural_cache::LaneGeometry::mac_job_checkouts`]). So
-//! the epoch order follows from the walk rather than from a hand-kept copy,
-//! the happens-before checker ([`crate::hb`]) can prove the concurrency
-//! claims statically, and the executed leg can reconcile the predicted
-//! checkout count against the real pool counters
-//! ([`nc_sram::PoolStats`]).
+//! [`ShardGraph::from_model`] is an expansion of the executor's own job
+//! plan ([`neural_cache::jobs::job_plan`]), whose epoch constructors the
+//! executor dispatches: it gives every checkout a virtual array id and
+//! every writing epoch a buffer id, and reads the barriers off the epoch
+//! kinds. So the happens-before checker ([`crate::hb`]) proves the
+//! concurrency claims about the decomposition the executor runs, and the
+//! executed leg can reconcile the predicted checkout count against the
+//! real pool counters ([`nc_sram::PoolStats`]).
 
-use std::convert::Infallible;
-
-use nc_dnn::walk::{concat_shapes, walk_layer, Passes, Pending};
-use nc_dnn::{Conv2d, MixedBlock, Model, Pool2d, PoolKind, Shape};
-use nc_sram::COLS;
+use nc_dnn::Model;
+use neural_cache::jobs::job_plan;
+pub use neural_cache::jobs::EpochKind;
 use neural_cache::layout::{all_layouts_with_dump, DUMP_ROW};
-use neural_cache::mapping::conv_lane_geometry;
 
 /// Row-granular read/write footprint of one shard-job pass, derived from
 /// the executor's named operand layouts. The footprint is conservative:
@@ -68,7 +63,7 @@ fn ranges_overlap(a: &[(u16, u16)], b: &[(u16, u16)]) -> bool {
 
 /// One group of pool checkouts by a shard: `count` arrays with consecutive
 /// virtual ids `first_array..first_array + count`, all staged with the
-/// same pass layout. The builder assigns every checkout a globally unique
+/// same pass layout. [`ShardGraph::from_model`] assigns every checkout a globally unique
 /// virtual id — the pool may hand back the same physical array after a
 /// release, but never the same *live* checkout, which is exactly the
 /// aliasing the checker hunts for.
@@ -103,24 +98,6 @@ pub struct Shard {
     pub reserved_way: bool,
 }
 
-/// The pass a set of shard jobs implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochKind {
-    /// MAC + grouped reduction + accumulator assembly (one shard per
-    /// output window).
-    Mac,
-    /// Inter-array min/max ranging (one shard per 256-lane chunk). Its
-    /// cross-shard accumulator read must be dominated by the reduce
-    /// barrier.
-    Ranging,
-    /// Accumulator requantization (one shard per 256-lane chunk).
-    Requant,
-    /// Code-to-code requantization of a pool-final branch.
-    CodeRequant,
-    /// Max/average pooling (one shard per 256-lane chunk).
-    Pool,
-}
-
 /// One `ExecutionEngine::run` dispatch: a batch of mutually concurrent
 /// shard jobs with an implicit join at the end.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,20 +122,6 @@ pub struct Epoch {
     pub dump_window: bool,
 }
 
-impl Epoch {
-    fn new(label: String, kind: EpochKind) -> Self {
-        Epoch {
-            label,
-            kind,
-            shards: Vec::new(),
-            writes_buffer: None,
-            reads_buffer: None,
-            out_slots: None,
-            dump_window: true,
-        }
-    }
-}
-
 /// The full concurrent schedule of one model inference: epochs in dispatch
 /// order, the joins between them, and which joins are inter-array reduce
 /// barriers.
@@ -171,7 +134,7 @@ pub struct ShardGraph {
     /// Dispatch-ordered epochs.
     pub epochs: Vec<Epoch>,
     /// `joins[i]` is true when a barrier separates epoch `i` and `i + 1`
-    /// (every `ExecutionEngine::run` return is one; the builder emits all
+    /// (every `ExecutionEngine::run` return is one; `from_model` emits all
     /// true — race-injection tests drop them).
     pub joins: Vec<bool>,
     /// Join indices that are inter-array reduce barriers (the MAC →
@@ -184,22 +147,84 @@ pub struct ShardGraph {
 }
 
 impl ShardGraph {
-    /// Builds the shard graph of `model`'s functional execution: the same
-    /// work decomposition, in the same dispatch order, with the same pool
-    /// checkout counts as `neural_cache::functional` — derived from
-    /// shapes and lane geometry alone (no weights, nothing executes).
+    /// Builds the shard graph of `model`'s functional execution by
+    /// expanding its [`job_plan`]: the epochs `neural_cache::functional`
+    /// dispatches, in the same order, with the same pool checkouts —
+    /// shape-only (no weights, nothing executes).
     #[must_use]
     pub fn from_model(model: &Model) -> Self {
-        let mut b = Builder::new(model.name.clone());
-        let mut cur = Tensor {
-            shape: model.input_shape,
-            buffer: None,
-        };
-        for layer in &model.layers {
-            let Ok(out) = walk_layer(&mut b, layer, &cur);
-            cur = out;
+        let layouts = all_layouts_with_dump()
+            .into_iter()
+            .map(|(name, operands, dumps)| {
+                let reads: Vec<(u16, u16)> = operands
+                    .iter()
+                    .map(|(_, o)| (o.rows().start as u16, o.rows().end as u16))
+                    .collect();
+                let dump = dumps.then_some((DUMP_ROW as u16, DUMP_ROW as u16 + 1));
+                let writes = reads.iter().copied().chain(dump).collect();
+                LayoutSpec {
+                    name: name.to_string(),
+                    reads,
+                    writes,
+                }
+            })
+            .collect();
+        let (mut arrays, mut buffers) = (0u32, 0u32);
+        let mut epochs: Vec<Epoch> = Vec::new();
+        for e in &job_plan(model) {
+            let writes_buffer = (e.kind != EpochKind::Ranging).then_some(buffers);
+            buffers += u32::from(writes_buffer.is_some());
+            // Graph epochs are numbered like the plan's.
+            let reads_buffer = e.reads.and_then(|r| epochs[r].writes_buffer);
+            let shards = (0..e.jobs())
+                .map(|j| {
+                    let slots = e.job_slots(j);
+                    let slots = (slots.start as u64, slots.end as u64);
+                    let uses = e
+                        .checkouts
+                        .iter()
+                        .map(|&(pass, count)| {
+                            arrays += count;
+                            PoolUse {
+                                layout: pass as u32,
+                                first_array: arrays - count,
+                                count,
+                                acquired: true,
+                                released: true,
+                            }
+                        })
+                        .collect();
+                    Shard {
+                        uses,
+                        write_slots: writes_buffer.map(|_| slots),
+                        read_slots: reads_buffer.map(|_| slots),
+                        reserved_way: false,
+                    }
+                })
+                .collect();
+            epochs.push(Epoch {
+                label: e.label.clone(),
+                kind: e.kind,
+                shards,
+                writes_buffer,
+                reads_buffer,
+                out_slots: writes_buffer.map(|_| e.slots as u64),
+                dump_window: true,
+            });
         }
-        b.finish()
+        ShardGraph {
+            name: model.name.clone(),
+            layouts,
+            joins: vec![true; epochs.len().saturating_sub(1)],
+            // The join sealing each MAC epoch is THE inter-array reduce
+            // barrier: ranging needs every shard's accumulators.
+            reduce_barriers: (0..epochs.len())
+                .filter(|&i| epochs[i].kind == EpochKind::Mac)
+                .collect(),
+            epochs,
+            arrays,
+            buffers,
+        }
     }
 
     /// Total shard jobs across all epochs.
@@ -223,277 +248,6 @@ impl ShardGraph {
     }
 }
 
-/// Indices into [`ShardGraph::layouts`] for the executor pass layouts, in
-/// the order [`all_layouts_with_dump`] reports them.
-#[derive(Debug, Clone, Copy)]
-struct PassIds {
-    mac_reduce: u32,
-    assemble: u32,
-    ranging: u32,
-    requant: u32,
-    code_requant: u32,
-    pool_max: u32,
-    pool_avg: u32,
-}
-
-/// A tensor of the walk (codes or accumulators): its shape and the host
-/// buffer that holds it (`None` for the model input and concatenated block
-/// outputs, which no epoch reads as a buffer).
-struct Tensor {
-    shape: Shape,
-    buffer: Option<u32>,
-}
-
-struct Builder {
-    name: String,
-    layouts: Vec<LayoutSpec>,
-    ids: PassIds,
-    epochs: Vec<Epoch>,
-    joins: Vec<bool>,
-    reduce_barriers: Vec<usize>,
-    next_array: u32,
-    next_buffer: u32,
-}
-
-impl Builder {
-    fn new(name: String) -> Self {
-        let mut layouts = Vec::new();
-        let mut index_of = |job: &str| -> u32 {
-            let (name, operands, dumps) = all_layouts_with_dump()
-                .into_iter()
-                .find(|(n, _, _)| *n == job)
-                .expect("executor pass layout exists");
-            let rows: Vec<(u16, u16)> = operands
-                .iter()
-                .map(|(_, o)| (o.rows().start as u16, o.rows().end as u16))
-                .collect();
-            let mut writes = rows.clone();
-            if dumps {
-                writes.push((DUMP_ROW as u16, DUMP_ROW as u16 + 1));
-            }
-            layouts.push(LayoutSpec {
-                name: name.to_string(),
-                reads: rows,
-                writes,
-            });
-            (layouts.len() - 1) as u32
-        };
-        let ids = PassIds {
-            mac_reduce: index_of("mac_reduce"),
-            assemble: index_of("assemble_acc"),
-            ranging: index_of("ranging"),
-            requant: index_of("requant"),
-            code_requant: index_of("code_requant"),
-            pool_max: index_of("pool_max"),
-            pool_avg: index_of("pool_avg"),
-        };
-        Builder {
-            name,
-            layouts,
-            ids,
-            epochs: Vec::new(),
-            joins: Vec::new(),
-            reduce_barriers: Vec::new(),
-            next_array: 0,
-            next_buffer: 0,
-        }
-    }
-
-    fn finish(self) -> ShardGraph {
-        ShardGraph {
-            name: self.name,
-            layouts: self.layouts,
-            epochs: self.epochs,
-            joins: self.joins,
-            reduce_barriers: self.reduce_barriers,
-            arrays: self.next_array,
-            buffers: self.next_buffer,
-        }
-    }
-
-    fn checkout(&mut self, layout: u32, count: u32) -> PoolUse {
-        let first_array = self.next_array;
-        self.next_array += count;
-        PoolUse {
-            layout,
-            first_array,
-            count,
-            acquired: true,
-            released: true,
-        }
-    }
-
-    fn fresh_buffer(&mut self) -> u32 {
-        let b = self.next_buffer;
-        self.next_buffer += 1;
-        b
-    }
-
-    fn push(&mut self, epoch: Epoch) {
-        if !self.epochs.is_empty() {
-            self.joins.push(true);
-        }
-        self.epochs.push(epoch);
-    }
-
-    /// Requantization epoch over `acc`'s slots (pass 3). Returns the
-    /// requantized tensor.
-    fn requant_epoch(&mut self, name: &str, acc: &Tensor) -> Tensor {
-        let buffer = self.chunked_epoch(
-            format!("{name}/requant"),
-            EpochKind::Requant,
-            self.ids.requant,
-            acc.shape.len() as u64,
-            acc.buffer,
-        );
-        Tensor {
-            shape: acc.shape,
-            buffer: Some(buffer),
-        }
-    }
-
-    /// One shard per 256-slot chunk, each acquiring one array, reading the
-    /// input buffer chunk and writing the same chunk of a fresh output
-    /// buffer. Returns the output buffer id.
-    fn chunked_epoch(
-        &mut self,
-        label: String,
-        kind: EpochKind,
-        layout: u32,
-        total: u64,
-        reads: Option<u32>,
-    ) -> u32 {
-        let out_buffer = self.fresh_buffer();
-        let mut epoch = Epoch::new(label, kind);
-        epoch.writes_buffer = Some(out_buffer);
-        epoch.reads_buffer = reads;
-        epoch.out_slots = Some(total);
-        for chunk in 0..total.div_ceil(COLS as u64) {
-            let slots = (chunk * COLS as u64, total.min((chunk + 1) * COLS as u64));
-            let uses = vec![self.checkout(layout, 1)];
-            epoch.shards.push(Shard {
-                uses,
-                write_slots: Some(slots),
-                read_slots: reads.map(|_| slots),
-                reserved_way: false,
-            });
-        }
-        self.push(epoch);
-        out_buffer
-    }
-}
-
-/// The executor's leaf passes as epochs: [`walk_layer`] sequences them
-/// exactly as it sequences the functional executor's dispatches.
-impl<'m> Passes<'m> for Builder {
-    type Act = Tensor;
-    type Acc = Tensor;
-    type Error = Infallible;
-
-    /// MAC + assembly epoch, reduce barrier, ranging epoch.
-    fn conv(&mut self, conv: &'m Conv2d, input: &Tensor) -> Result<Tensor, Infallible> {
-        let spec = &conv.spec;
-        let out_shape = spec.out_shape(input.shape);
-        let positions = out_shape.h * out_shape.w;
-        let m = spec.m as u64;
-        let (mac_arrays, assemble_arrays) = conv_lane_geometry(spec).mac_job_checkouts(spec.m);
-        let total = out_shape.len() as u64;
-        let acc_buffer = self.fresh_buffer();
-
-        let mut mac = Epoch::new(format!("{}/mac", spec.name), EpochKind::Mac);
-        mac.writes_buffer = Some(acc_buffer);
-        mac.out_slots = Some(total);
-        for pos in 0..positions as u64 {
-            let uses = vec![
-                self.checkout(self.ids.mac_reduce, mac_arrays as u32),
-                self.checkout(self.ids.assemble, assemble_arrays as u32),
-            ];
-            mac.shards.push(Shard {
-                uses,
-                write_slots: Some((pos * m, (pos + 1) * m)),
-                read_slots: None,
-                reserved_way: false,
-            });
-        }
-        self.push(mac);
-
-        // The join sealing the MAC epoch is THE inter-array reduce
-        // barrier: ranging needs every shard's accumulators.
-        let barrier = self.epochs.len() - 1;
-        let mut ranging = Epoch::new(format!("{}/ranging", spec.name), EpochKind::Ranging);
-        ranging.reads_buffer = Some(acc_buffer);
-        for chunk in 0..total.div_ceil(COLS as u64) {
-            let uses = vec![self.checkout(self.ids.ranging, 2)];
-            ranging.shards.push(Shard {
-                uses,
-                write_slots: None,
-                read_slots: Some((chunk * COLS as u64, total.min((chunk + 1) * COLS as u64))),
-                reserved_way: false,
-            });
-        }
-        self.push(ranging);
-        self.reduce_barriers.push(barrier);
-        Ok(Tensor {
-            shape: out_shape,
-            buffer: Some(acc_buffer),
-        })
-    }
-
-    fn requantize(&mut self, conv: &'m Conv2d, acc: Tensor) -> Result<Tensor, Infallible> {
-        Ok(self.requant_epoch(&conv.spec.name, &acc))
-    }
-
-    /// Pooling epoch (windows are gathered host-side before dispatch, so
-    /// no modelled buffer read).
-    fn pool(&mut self, pool: &'m Pool2d, input: &Tensor) -> Result<Tensor, Infallible> {
-        let shape = pool.out_shape(input.shape);
-        let layout = match pool.kind {
-            PoolKind::Max => self.ids.pool_max,
-            PoolKind::Avg => self.ids.pool_avg,
-        };
-        let buffer = self.chunked_epoch(
-            format!("{}/pool", pool.name),
-            EpochKind::Pool,
-            layout,
-            shape.len() as u64,
-            None,
-        );
-        Ok(Tensor {
-            shape,
-            buffer: Some(buffer),
-        })
-    }
-
-    /// The deferred (code-)requantizations, in pending order, after the
-    /// block-wide range.
-    fn join(
-        &mut self,
-        _block: &'m MixedBlock,
-        pending: Vec<Pending<'m, Tensor, Tensor>>,
-    ) -> Result<Tensor, Infallible> {
-        let mut parts = Vec::with_capacity(pending.len());
-        for p in pending {
-            parts.push(match p {
-                Pending::Conv(conv, acc) => self.requant_epoch(&conv.spec.name, &acc).shape,
-                Pending::Pool(pool, codes) => {
-                    self.chunked_epoch(
-                        format!("{}/code_requant", pool.name),
-                        EpochKind::CodeRequant,
-                        self.ids.code_requant,
-                        codes.shape.len() as u64,
-                        codes.buffer,
-                    );
-                    codes.shape
-                }
-            });
-        }
-        Ok(Tensor {
-            shape: concat_shapes(parts),
-            buffer: None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +260,7 @@ mod tests {
         assert_eq!(g.name, model.name);
         assert!(g.epochs.len() >= 3, "mac + ranging + requant per conv");
         assert_eq!(g.joins.len(), g.epochs.len() - 1);
-        assert!(g.joins.iter().all(|&j| j), "builder emits every barrier");
+        assert!(g.joins.iter().all(|&j| j), "from_model emits every barrier");
         assert!(!g.reduce_barriers.is_empty());
         assert!(g.predicted_acquires() > 0);
         assert_eq!(u64::from(g.arrays), g.predicted_acquires());

@@ -165,9 +165,10 @@ fn functional_executor_reports_cycle_work() {
 
 #[test]
 fn op_spans_follow_the_shard_graph_epoch_by_epoch() {
-    // The executor and the shard-graph builder are two implementations of
-    // the same leaf passes over one walk: every `functional.op` span must
-    // be the dispatch of the shard graph's epoch at the same position.
+    // The executor dispatches the epochs its leaf steps build with the job
+    // plan's constructors, and the shard graph expands the plan those same
+    // constructors produce over the same walk: every `functional.op` span
+    // must be the dispatch of the shard graph's epoch at the same position.
     use neural_cache_repro::cache::SparsityMode;
     use neural_cache_repro::telemetry::{Level, Telemetry};
     use neural_cache_repro::verify::shard::{EpochKind, ShardGraph};
